@@ -31,18 +31,15 @@
 //! `measure_24q` (collapse measurement sweeps), `rowsum_48q` (repeated
 //! deterministic sweeps that live in the scratch-row rowsum chain), and
 //! the `sampled_6q` workload end-to-end through each engine
-//! (`EvalOptions::tableau_engine` — packed, sparse-gate, and reference),
-//! asserting identical outcome streams / bit-identical tensors before
+//! (`EvalOptions::tableau_engine` — packed and reference), asserting identical outcome streams / bit-identical tensors before
 //! timing is reported. The reference arm pins the whole Clifford
 //! pipeline to the frozen baseline (bit-at-a-time tableau plus the
 //! per-shot affine sampling loop), so the end-to-end ratio measures the
 //! accumulated optimization win, not just the tableau kernel swap.
 //!
 //! A `gate_apply` series times pure Clifford gate application on
-//! gate-dense circuits at n ∈ {24, 48, 96} — the stage the column-major
-//! [`stabsim::SparseGateTableauSim`] targets with its `O(n/64)`-word
-//! column kernels — reference vs packed vs sparse-gate, with the
-//! post-run measurement streams of all three engines asserted identical
+//! gate-dense circuits at n ∈ {24, 48, 96}, reference vs packed, with the
+//! post-run measurement streams of both engines asserted identical
 //! before timing is reported.
 //!
 //! A `runtime_reuse` series runs first (while the process-global runtime
@@ -80,7 +77,7 @@ use cutkit::{
 use qcir::{Bits, Circuit};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use stabsim::{ReferenceTableauSim, SparseGateTableauSim, TableauSim};
+use stabsim::{ReferenceTableauSim, TableauSim};
 use std::time::Instant;
 use supersim::{ExecParams, RunResult, SuperSim, SuperSimConfig};
 
@@ -381,10 +378,9 @@ fn bench_tableau_rowsum(label: &str, n: usize, iters: usize, reps: usize) -> Str
     )
 }
 
-/// Times pure Clifford gate application — the stage the column-major
-/// sparse-gate engine targets — on a gate-dense random circuit: each
-/// timed iteration replays the full circuit from `|0…0⟩` (noiseless, so
-/// no RNG draws land in the timed region). The three engines' post-run
+/// Times pure Clifford gate application on a gate-dense random circuit:
+/// each timed iteration replays the full circuit from `|0…0⟩` (noiseless,
+/// so no RNG draws land in the timed region). The two engines' post-run
 /// measurement streams are folded and asserted identical outside the
 /// timed region.
 fn bench_gate_apply(n: usize, reps: usize) -> String {
@@ -400,11 +396,6 @@ fn bench_gate_apply(n: usize, reps: usize) -> String {
     let (packed_ms, _) = time_best(reps, || {
         for _ in 0..iters {
             std::hint::black_box(TableauSim::run(&circuit, &mut rng).unwrap());
-        }
-    });
-    let (sparse_ms, _) = time_best(reps, || {
-        for _ in 0..iters {
-            std::hint::black_box(SparseGateTableauSim::run(&circuit, &mut rng).unwrap());
         }
     });
     // Outcome-stream identity (untimed): measure every qubit of the
@@ -423,29 +414,19 @@ fn bench_gate_apply(n: usize, reps: usize) -> String {
     let mut rng = StdRng::seed_from_u64(9);
     let mut packed_sim = TableauSim::run(&circuit, &mut rng).unwrap();
     let packed_fold = fold_all(0, &mut |q, r| packed_sim.measure(q, r));
-    let mut rng = StdRng::seed_from_u64(9);
-    let mut sparse_sim = SparseGateTableauSim::run(&circuit, &mut rng).unwrap();
-    let sparse_fold = fold_all(0, &mut |q, r| sparse_sim.measure(q, r));
     assert_eq!(
         packed_fold, reference_fold,
         "gate_apply n={n}: packed outcome stream diverged from the reference"
     );
-    assert_eq!(
-        sparse_fold, reference_fold,
-        "gate_apply n={n}: sparse-gate outcome stream diverged from the reference"
-    );
-    let speedup_vs_packed = packed_ms / sparse_ms;
-    let speedup_vs_reference = reference_ms / sparse_ms;
+    let speedup_vs_reference = reference_ms / packed_ms;
     println!(
         "gate_apply (n={n}, {gates} gates x {iters} replays): \
-         reference {reference_ms:.2} ms, packed {packed_ms:.2} ms, \
-         sparse-gate {sparse_ms:.2} ms ({speedup_vs_packed:.2}x vs packed)"
+         reference {reference_ms:.2} ms, packed {packed_ms:.2} ms \
+         ({speedup_vs_reference:.2}x vs reference)"
     );
     format!(
         "{{\"n\": {n}, \"gates\": {gates}, \"iters\": {iters}, \
          \"reference_ms\": {reference_ms:.3}, \"packed_ms\": {packed_ms:.3}, \
-         \"sparse_gate_1t_ms\": {sparse_ms:.3}, \
-         \"speedup_vs_packed\": {speedup_vs_packed:.3}, \
          \"speedup_vs_reference\": {speedup_vs_reference:.3}, \
          \"identical_outcomes\": true}}"
     )
@@ -758,37 +739,22 @@ fn main() {
     let (tab_1t_ms, tab_tensors) = time_best(reps, || {
         cutkit::evaluate_fragment_tensors(&cut.fragments, &eval, &opts, &seeds, 1).unwrap()
     });
-    let (tab_sparse_ms, tab_sparse_tensors) = time_best(reps, || {
-        let sparse_eval = EvalOptions {
-            tableau_engine: TableauEngine::SparseGate,
-            ..eval.clone()
-        };
-        cutkit::evaluate_fragment_tensors(&cut.fragments, &sparse_eval, &opts, &seeds, 1).unwrap()
-    });
     assert!(
         tensors_bit_identical(&tab_tensors, &tab_ref_tensors),
         "sampled_6q: packed tableau engine diverged from the frozen reference"
     );
-    assert!(
-        tensors_bit_identical(&tab_sparse_tensors, &tab_ref_tensors),
-        "sampled_6q: sparse-gate tableau engine diverged from the frozen reference"
-    );
     let tab_speedup = tab_ref_ms / tab_1t_ms;
-    let tab_sparse_speedup = tab_ref_ms / tab_sparse_ms;
     println!(
         "tableau sampled_6q end-to-end: reference engine {tab_ref_ms:.2} ms, \
-         packed engine {tab_1t_ms:.2} ms ({tab_speedup:.2}x), \
-         sparse-gate engine {tab_sparse_ms:.2} ms ({tab_sparse_speedup:.2}x)"
+         packed engine {tab_1t_ms:.2} ms ({tab_speedup:.2}x)"
     );
     let tableau_sampled_row = format!(
         "{{\"reference_ms\": {tab_ref_ms:.3}, \"packed_1t_ms\": {tab_1t_ms:.3}, \
          \"speedup_1t\": {tab_speedup:.3}, \
-         \"sparse_gate_1t_ms\": {tab_sparse_ms:.3}, \
-         \"sparse_speedup_1t\": {tab_sparse_speedup:.3}, \
          \"bit_identical_to_reference\": true}}"
     );
 
-    // --- Gate application: reference vs packed vs sparse-gate ----------
+    // --- Gate application: reference vs packed -------------------------
     let gate_apply_24 = bench_gate_apply(24, reps);
     let gate_apply_48 = bench_gate_apply(48, reps);
     let gate_apply_96 = bench_gate_apply(96, reps);

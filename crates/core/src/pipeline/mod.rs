@@ -130,15 +130,12 @@ pub struct SuperSimConfig {
     /// Largest affine-support dimension enumerated in exact Clifford
     /// evaluation.
     pub exact_support_limit: usize,
-    /// Stabilizer engine for noiseless Clifford fragments
-    /// ([`TableauEngine::Packed`] is the word-parallel row-major default;
-    /// [`TableauEngine::SparseGate`] is the column-major engine with
-    /// `O(n/64)`-word gates, fastest on gate-dense fragments;
-    /// [`TableauEngine::Reference`] is the frozen bit-at-a-time baseline).
-    /// All three are bit-identical in outcomes and RNG consumption, so
-    /// this is purely a performance knob. The default honours the
-    /// `SUPERSIM_TABLEAU_ENGINE` environment variable (`packed` /
-    /// `sparse-gate` / `reference`) — the CI engine axis.
+    /// Stabilizer engine for noiseless Clifford fragments:
+    /// [`TableauEngine::Packed`], the word-parallel row-major engine, by
+    /// default; [`TableauEngine::Reference`] pins the run to the frozen
+    /// bit-at-a-time baseline. Both are bit-identical in outcomes and RNG
+    /// consumption, so the reference serves parity tests and baseline
+    /// timings only.
     pub tableau_engine: TableauEngine,
     /// Per-job wall-clock deadline: a job (one circuit of a batch, one
     /// sweep point, or one [`SuperSim::run`]) that exceeds it fails with
@@ -1121,6 +1118,17 @@ mod tests {
         let manual_loaded = CutPlan::from_text(&manual.to_text()).unwrap();
         assert_eq!(manual_loaded.strategy(), manual.strategy());
         assert_eq!(manual_loaded.fingerprint(), manual.fingerprint());
+    }
+
+    /// A snapshot whose circuit fails to parse is a typed load error, not
+    /// a panic in the circuit constructor.
+    #[test]
+    fn plan_snapshot_rejects_malformed_circuit() {
+        let src = "supersim-plan v1\nstrategy none\nqubits 2\ncx 1 1\n";
+        match CutPlan::from_text(src) {
+            Err(PlanLoadError::Circuit(e)) => assert!(e.message.contains("duplicate"), "{e}"),
+            other => panic!("expected a circuit parse error, got {other:?}"),
+        }
     }
 
     /// Evaluation failures in a batch stay per-circuit: the failing

@@ -26,22 +26,18 @@ pub enum EvalMode {
 
 /// Which stabilizer engine evaluates noiseless Clifford fragments.
 ///
-/// All engines are bit-identical in outcomes and seeded-RNG consumption
+/// Both engines are bit-identical in outcomes and seeded-RNG consumption
 /// (asserted by the `tableau_engine_parity` suite and the `tableau` /
-/// `gate_apply` bench series), so the choice is purely a performance knob;
-/// the reference exists so that guarantee stays testable end-to-end
-/// through the fragment-tensor pipeline.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+/// `gate_apply` bench series). [`TableauEngine::Packed`] is the one
+/// production engine; the reference exists so that guarantee stays
+/// testable end-to-end through the fragment-tensor pipeline and so speedups
+/// can be measured against the frozen baseline.
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub enum TableauEngine {
     /// The word-parallel row-major bit-plane engine
-    /// ([`stabsim::TableauSim`]) — the production default, strongest on
-    /// measurement/support-heavy fragments.
+    /// ([`stabsim::TableauSim`]) — the default.
+    #[default]
     Packed,
-    /// The column-major (inverse-orientation) engine
-    /// ([`stabsim::SparseGateTableauSim`]): `O(n/64)`-word gates with a
-    /// lazy row transpose at measurement — strongest on gate-dense
-    /// fragments.
-    SparseGate,
     /// The frozen baseline pipeline: the bit-at-a-time tableau
     /// ([`stabsim::ReferenceTableauSim`]) *and* the pre-optimization
     /// per-shot affine sampling loop
@@ -49,40 +45,6 @@ pub enum TableauEngine {
     /// for parity tests and so end-to-end speedup measurements compare
     /// against the real pre-optimization Clifford evaluation cost.
     Reference,
-}
-
-impl TableauEngine {
-    /// Parses an engine name as accepted by the `SUPERSIM_TABLEAU_ENGINE`
-    /// environment variable (case-insensitive; `-`/`_` interchangeable).
-    pub fn from_name(name: &str) -> Option<Self> {
-        match name.to_ascii_lowercase().replace('-', "_").as_str() {
-            "packed" => Some(TableauEngine::Packed),
-            "sparse_gate" | "sparsegate" | "sparse" => Some(TableauEngine::SparseGate),
-            "reference" => Some(TableauEngine::Reference),
-            _ => None,
-        }
-    }
-}
-
-impl Default for TableauEngine {
-    /// [`TableauEngine::Packed`] unless the `SUPERSIM_TABLEAU_ENGINE`
-    /// environment variable selects another engine (`packed` /
-    /// `sparse-gate` / `reference`) — the hook the CI engine axis uses to
-    /// re-run the whole test suite per engine. Read once per process.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an unrecognized engine name: a misspelled axis value must
-    /// not silently re-test the default engine.
-    fn default() -> Self {
-        static FROM_ENV: std::sync::OnceLock<TableauEngine> = std::sync::OnceLock::new();
-        *FROM_ENV.get_or_init(|| match std::env::var("SUPERSIM_TABLEAU_ENGINE") {
-            Ok(name) => TableauEngine::from_name(&name).unwrap_or_else(|| {
-                panic!("SUPERSIM_TABLEAU_ENGINE={name:?} is not a tableau engine (expected packed | sparse-gate | reference)")
-            }),
-            Err(_) => TableauEngine::Packed,
-        })
-    }
 }
 
 /// Options controlling fragment evaluation.
@@ -342,7 +304,7 @@ pub fn evaluate_variant_into(
 }
 
 /// Runs a noiseless Clifford circuit on the selected tableau engine and
-/// extracts its affine support. All engines consume `rng` identically
+/// extracts its affine support. Both engines consume `rng` identically
 /// and produce the same support (same base, same direction order), so the
 /// choice never perturbs downstream sampling streams.
 fn clifford_support(
@@ -354,9 +316,6 @@ fn clifford_support(
         TableauEngine::Packed => stabsim::TableauSim::run(circuit, rng)
             .expect("clifford fragment must run on the tableau")
             .support(),
-        TableauEngine::SparseGate => stabsim::SparseGateTableauSim::run(circuit, rng)
-            .expect("clifford fragment must run on the tableau")
-            .support(),
         TableauEngine::Reference => stabsim::ReferenceTableauSim::run(circuit, rng)
             .expect("clifford fragment must run on the tableau")
             .support(),
@@ -366,7 +325,7 @@ fn clifford_support(
 /// Tallies `shots` draws from an affine support through the path matching
 /// the selected engine. `Reference` pins the whole Clifford pipeline to
 /// the frozen baseline — the per-shot direction-XOR loop — while the
-/// optimized engines take the table fast path. Both consume the RNG
+/// packed engine takes the table fast path. Both consume the RNG
 /// identically and produce the same tally, so the engine choice never
 /// perturbs outcome streams; it only decides whether end-to-end timings
 /// measure the frozen or the optimized sampling cost.
@@ -381,7 +340,7 @@ fn sample_support_counts(
         TableauEngine::Reference => {
             support.sample_counts_scratch_frozen(shots, rng, &mut scratch.counts, &mut scratch.row)
         }
-        TableauEngine::Packed | TableauEngine::SparseGate => {
+        TableauEngine::Packed => {
             support.sample_counts_scratch(shots, rng, &mut scratch.counts, &mut scratch.row)
         }
     }

@@ -1,23 +1,12 @@
 //! Portable `u64×4`-block SIMD layer for the GF(2) bit-plane kernels.
 //!
-//! Every hot word loop in the workspace — the [`Bits`](crate::Bits)
-//! row kernels, the fused Pauli phase accumulator
-//! ([`pauli_mul_phase_words`](crate::pauli_mul_phase_words)), and the
-//! tableau engines' bit-plane gate/measurement sweeps — processes flat
-//! `u64` slices. This module gives them one explicit 4-lane block type,
-//! [`W4`], plus slice kernels built on it, so the straight-line block
-//! bodies vectorize to 256-bit ops wherever the target has them.
-//!
-//! Two backends share the `W4` API:
-//!
-//! * the default **portable** backend — a `[u64; 4]` wrapper whose
-//!   operators are plain lane-wise word arithmetic. It builds on the
-//!   stable (offline) toolchain and optimizing backends lower the
-//!   4-lane bodies to vector instructions;
-//! * a **nightly** backend over `core::simd::u64x4`, enabled with
-//!   `RUSTFLAGS="--cfg supersim_nightly_simd"` on a nightly toolchain
-//!   (the cfg is declared in the workspace `check-cfg` list). Semantics
-//!   are identical; only the codegen route differs.
+//! The hot word loops of [`Bits`](crate::Bits) and the fused Pauli phase
+//! accumulator ([`pauli_mul_phase_words`](crate::pauli_mul_phase_words))
+//! process flat `u64` slices. This module gives them one explicit 4-lane
+//! block type, [`W4`], plus slice kernels built on it. `W4` is a plain
+//! `[u64; 4]` wrapper with lane-wise operators, so it builds on the
+//! stable toolchain and the straight-line block bodies vectorize to
+//! 256-bit ops wherever the target has them.
 //!
 //! The slice kernels treat length-mismatched inputs as caller bugs
 //! (asserted), process the aligned 4-word blocks with `W4`, and finish
@@ -27,207 +16,99 @@
 /// Lanes per block: the kernels consume `u64` slices in strides of 4.
 pub const LANES: usize = 4;
 
-#[cfg(not(supersim_nightly_simd))]
-mod backend {
-    /// A 4-lane `u64` block with lane-wise bit operators.
+/// A 4-lane `u64` block with lane-wise bit operators: a plain
+/// `[u64; 4]` with unrolled operators.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+#[repr(align(32))]
+pub struct W4(pub [u64; 4]);
+
+impl W4 {
+    /// The all-zero block.
+    pub const ZERO: W4 = W4([0; 4]);
+
+    /// Loads the first 4 words of `s`.
     ///
-    /// Portable backend: a plain `[u64; 4]` with unrolled operators.
-    #[derive(Copy, Clone, Debug, PartialEq, Eq)]
-    #[repr(align(32))]
-    pub struct W4(pub [u64; 4]);
-
-    impl W4 {
-        /// The all-zero block.
-        pub const ZERO: W4 = W4([0; 4]);
-
-        /// Broadcasts one word into every lane.
-        #[inline(always)]
-        pub fn splat(w: u64) -> W4 {
-            W4([w; 4])
-        }
-
-        /// Loads the first 4 words of `s`.
-        ///
-        /// # Panics
-        ///
-        /// Panics if `s` holds fewer than 4 words.
-        #[inline(always)]
-        pub fn load(s: &[u64]) -> W4 {
-            W4([s[0], s[1], s[2], s[3]])
-        }
-
-        /// Stores the block into the first 4 words of `s`.
-        ///
-        /// # Panics
-        ///
-        /// Panics if `s` holds fewer than 4 words.
-        #[inline(always)]
-        pub fn store(self, s: &mut [u64]) {
-            s[0] = self.0[0];
-            s[1] = self.0[1];
-            s[2] = self.0[2];
-            s[3] = self.0[3];
-        }
-
-        /// Sum of per-lane popcounts.
-        #[inline(always)]
-        pub fn count_ones(self) -> u32 {
-            self.0[0].count_ones()
-                + self.0[1].count_ones()
-                + self.0[2].count_ones()
-                + self.0[3].count_ones()
-        }
-
-        /// XOR-fold of the lanes into one word (parity-preserving).
-        #[inline(always)]
-        pub fn xor_lanes(self) -> u64 {
-            self.0[0] ^ self.0[1] ^ self.0[2] ^ self.0[3]
-        }
-
-        /// OR-fold of the lanes into one word (zero test).
-        #[inline(always)]
-        pub fn or_lanes(self) -> u64 {
-            self.0[0] | self.0[1] | self.0[2] | self.0[3]
-        }
+    /// # Panics
+    ///
+    /// Panics if `s` holds fewer than 4 words.
+    #[inline(always)]
+    pub fn load(s: &[u64]) -> W4 {
+        W4([s[0], s[1], s[2], s[3]])
     }
 
-    impl std::ops::BitAnd for W4 {
-        type Output = W4;
-        #[inline(always)]
-        fn bitand(self, o: W4) -> W4 {
-            W4([
-                self.0[0] & o.0[0],
-                self.0[1] & o.0[1],
-                self.0[2] & o.0[2],
-                self.0[3] & o.0[3],
-            ])
-        }
+    /// Stores the block into the first 4 words of `s`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `s` holds fewer than 4 words.
+    #[inline(always)]
+    pub fn store(self, s: &mut [u64]) {
+        s[0] = self.0[0];
+        s[1] = self.0[1];
+        s[2] = self.0[2];
+        s[3] = self.0[3];
     }
 
-    impl std::ops::BitOr for W4 {
-        type Output = W4;
-        #[inline(always)]
-        fn bitor(self, o: W4) -> W4 {
-            W4([
-                self.0[0] | o.0[0],
-                self.0[1] | o.0[1],
-                self.0[2] | o.0[2],
-                self.0[3] | o.0[3],
-            ])
-        }
+    /// Sum of per-lane popcounts.
+    #[inline(always)]
+    pub fn count_ones(self) -> u32 {
+        self.0[0].count_ones()
+            + self.0[1].count_ones()
+            + self.0[2].count_ones()
+            + self.0[3].count_ones()
     }
 
-    impl std::ops::BitXor for W4 {
-        type Output = W4;
-        #[inline(always)]
-        fn bitxor(self, o: W4) -> W4 {
-            W4([
-                self.0[0] ^ o.0[0],
-                self.0[1] ^ o.0[1],
-                self.0[2] ^ o.0[2],
-                self.0[3] ^ o.0[3],
-            ])
-        }
+    /// XOR-fold of the lanes into one word (parity-preserving).
+    #[inline(always)]
+    pub fn xor_lanes(self) -> u64 {
+        self.0[0] ^ self.0[1] ^ self.0[2] ^ self.0[3]
     }
 
-    impl std::ops::Not for W4 {
-        type Output = W4;
-        #[inline(always)]
-        fn not(self) -> W4 {
-            W4([!self.0[0], !self.0[1], !self.0[2], !self.0[3]])
-        }
+    /// OR-fold of the lanes into one word (zero test).
+    #[inline(always)]
+    pub fn or_lanes(self) -> u64 {
+        self.0[0] | self.0[1] | self.0[2] | self.0[3]
     }
 }
 
-#[cfg(supersim_nightly_simd)]
-mod backend {
-    use core::simd::u64x4;
-
-    /// A 4-lane `u64` block with lane-wise bit operators.
-    ///
-    /// Nightly backend: `core::simd::u64x4` under
-    /// `--cfg supersim_nightly_simd`.
-    #[derive(Copy, Clone, Debug, PartialEq, Eq)]
-    pub struct W4(pub u64x4);
-
-    impl W4 {
-        /// The all-zero block.
-        pub const ZERO: W4 = W4(u64x4::from_array([0; 4]));
-
-        /// Broadcasts one word into every lane.
-        #[inline(always)]
-        pub fn splat(w: u64) -> W4 {
-            W4(u64x4::splat(w))
-        }
-
-        /// Loads the first 4 words of `s`.
-        #[inline(always)]
-        pub fn load(s: &[u64]) -> W4 {
-            W4(u64x4::from_slice(s))
-        }
-
-        /// Stores the block into the first 4 words of `s`.
-        #[inline(always)]
-        pub fn store(self, s: &mut [u64]) {
-            self.0.copy_to_slice(&mut s[..4]);
-        }
-
-        /// Sum of per-lane popcounts.
-        #[inline(always)]
-        pub fn count_ones(self) -> u32 {
-            let a = self.0.to_array();
-            a[0].count_ones() + a[1].count_ones() + a[2].count_ones() + a[3].count_ones()
-        }
-
-        /// XOR-fold of the lanes into one word (parity-preserving).
-        #[inline(always)]
-        pub fn xor_lanes(self) -> u64 {
-            let a = self.0.to_array();
-            a[0] ^ a[1] ^ a[2] ^ a[3]
-        }
-
-        /// OR-fold of the lanes into one word (zero test).
-        #[inline(always)]
-        pub fn or_lanes(self) -> u64 {
-            let a = self.0.to_array();
-            a[0] | a[1] | a[2] | a[3]
-        }
-    }
-
-    impl std::ops::BitAnd for W4 {
-        type Output = W4;
-        #[inline(always)]
-        fn bitand(self, o: W4) -> W4 {
-            W4(self.0 & o.0)
-        }
-    }
-
-    impl std::ops::BitOr for W4 {
-        type Output = W4;
-        #[inline(always)]
-        fn bitor(self, o: W4) -> W4 {
-            W4(self.0 | o.0)
-        }
-    }
-
-    impl std::ops::BitXor for W4 {
-        type Output = W4;
-        #[inline(always)]
-        fn bitxor(self, o: W4) -> W4 {
-            W4(self.0 ^ o.0)
-        }
-    }
-
-    impl std::ops::Not for W4 {
-        type Output = W4;
-        #[inline(always)]
-        fn not(self) -> W4 {
-            W4(!self.0)
-        }
+impl std::ops::BitAnd for W4 {
+    type Output = W4;
+    #[inline(always)]
+    fn bitand(self, o: W4) -> W4 {
+        W4([
+            self.0[0] & o.0[0],
+            self.0[1] & o.0[1],
+            self.0[2] & o.0[2],
+            self.0[3] & o.0[3],
+        ])
     }
 }
 
-pub use backend::W4;
+impl std::ops::BitOr for W4 {
+    type Output = W4;
+    #[inline(always)]
+    fn bitor(self, o: W4) -> W4 {
+        W4([
+            self.0[0] | o.0[0],
+            self.0[1] | o.0[1],
+            self.0[2] | o.0[2],
+            self.0[3] | o.0[3],
+        ])
+    }
+}
+
+impl std::ops::BitXor for W4 {
+    type Output = W4;
+    #[inline(always)]
+    fn bitxor(self, o: W4) -> W4 {
+        W4([
+            self.0[0] ^ o.0[0],
+            self.0[1] ^ o.0[1],
+            self.0[2] ^ o.0[2],
+            self.0[3] ^ o.0[3],
+        ])
+    }
+}
 
 /// `dst[k] ^= src[k]` for every word.
 ///
@@ -244,60 +125,6 @@ pub fn xor_into(dst: &mut [u64], src: &[u64]) {
     }
     for (dw, sw) in d.into_remainder().iter_mut().zip(s.remainder()) {
         *dw ^= sw;
-    }
-}
-
-/// `dst[k] ^= a[k] & b[k]` for every word.
-///
-/// # Panics
-///
-/// Panics on length mismatch.
-#[inline]
-pub fn and_xor_into(dst: &mut [u64], a: &[u64], b: &[u64]) {
-    assert!(
-        dst.len() == a.len() && dst.len() == b.len(),
-        "length mismatch"
-    );
-    let mut d = dst.chunks_exact_mut(LANES);
-    let mut ab = a.chunks_exact(LANES);
-    let mut bb = b.chunks_exact(LANES);
-    for ((dw, aw), bw) in d.by_ref().zip(ab.by_ref()).zip(bb.by_ref()) {
-        (W4::load(dw) ^ (W4::load(aw) & W4::load(bw))).store(dw);
-    }
-    for ((dw, aw), bw) in d
-        .into_remainder()
-        .iter_mut()
-        .zip(ab.remainder())
-        .zip(bb.remainder())
-    {
-        *dw ^= aw & bw;
-    }
-}
-
-/// `dst[k] ^= a[k] & !b[k]` for every word.
-///
-/// # Panics
-///
-/// Panics on length mismatch.
-#[inline]
-pub fn andnot_xor_into(dst: &mut [u64], a: &[u64], b: &[u64]) {
-    assert!(
-        dst.len() == a.len() && dst.len() == b.len(),
-        "length mismatch"
-    );
-    let mut d = dst.chunks_exact_mut(LANES);
-    let mut ab = a.chunks_exact(LANES);
-    let mut bb = b.chunks_exact(LANES);
-    for ((dw, aw), bw) in d.by_ref().zip(ab.by_ref()).zip(bb.by_ref()) {
-        (W4::load(dw) ^ (W4::load(aw) & !W4::load(bw))).store(dw);
-    }
-    for ((dw, aw), bw) in d
-        .into_remainder()
-        .iter_mut()
-        .zip(ab.remainder())
-        .zip(bb.remainder())
-    {
-        *dw ^= aw & !bw;
     }
 }
 
@@ -405,14 +232,14 @@ mod tests {
     #[test]
     fn w4_ops_are_lane_wise() {
         let a = W4::load(&[1, 2, 4, 8]);
-        let b = W4::splat(0b1010);
+        let b = W4::load(&[0b1010; 4]);
         assert_eq!(
             (a ^ b).xor_lanes(),
             (1 ^ 10) ^ (2 ^ 10) ^ (4 ^ 10) ^ (8 ^ 10)
         );
         assert_eq!((a & b).count_ones(), 2); // lanes: 1&10=0, 2&10=2, 4&10=0, 8&10=8
         assert_eq!((a | b).or_lanes(), 1 | 2 | 4 | 8 | 10);
-        assert_eq!((!W4::ZERO).count_ones(), 256);
+        assert_eq!(W4::load(&[u64::MAX; 4]).count_ones(), 256);
         let mut out = [0u64; 4];
         a.store(&mut out);
         assert_eq!(out, [1, 2, 4, 8]);
@@ -427,24 +254,6 @@ mod tests {
             xor_into(&mut d, &b);
             for k in 0..len {
                 assert_eq!(d[k], a[k] ^ b[k], "xor_into len {len} word {k}");
-            }
-            let mut d = a.clone();
-            and_xor_into(&mut d, &b, &a);
-            for k in 0..len {
-                assert_eq!(
-                    d[k],
-                    a[k] ^ (b[k] & a[k]),
-                    "and_xor_into len {len} word {k}"
-                );
-            }
-            let mut d = a.clone();
-            andnot_xor_into(&mut d, &b, &a);
-            for k in 0..len {
-                assert_eq!(
-                    d[k],
-                    a[k] ^ (b[k] & !a[k]),
-                    "andnot_xor_into len {len} word {k}"
-                );
             }
             assert_eq!(
                 popcount(&a),

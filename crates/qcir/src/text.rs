@@ -88,8 +88,9 @@ fn noise_token(c: NoiseChannel) -> String {
 ///
 /// # Errors
 ///
-/// Returns [`ParseCircuitError`] on malformed input (unknown gate, bad
-/// parameter, missing or out-of-range qubits, missing header).
+/// Returns [`ParseCircuitError`] on malformed input (unknown gate, bad or
+/// non-finite parameter, noise probability outside `[0, 1]`, missing,
+/// out-of-range or duplicate qubits, missing header).
 pub fn from_text(src: &str) -> Result<Circuit, ParseCircuitError> {
     let err = |line: usize, message: &str| ParseCircuitError {
         line,
@@ -126,30 +127,30 @@ pub fn from_text(src: &str) -> Result<Circuit, ParseCircuitError> {
             }
         }
         let (name, param) = split_param(head, line_no)?;
-        let op = build_op(name, param, &qubits, line_no)?;
-        if op.qubits.len() != qubits.len() {
-            return Err(err(line_no, "wrong number of qubits"));
-        }
-        c.push(op);
+        c.push(build_op(name, param, &qubits, line_no)?);
     }
     circuit.ok_or_else(|| err(1, "missing 'qubits N' header"))
 }
 
 /// Splits `name(1.23)` into `("name", Some(1.23))`.
 fn split_param(token: &str, line: usize) -> Result<(&str, Option<f64>), ParseCircuitError> {
+    let fail = |message: &str| ParseCircuitError {
+        line,
+        message: message.into(),
+    };
     match token.find('(') {
         None => Ok((token, None)),
         Some(open) => {
-            let close = token.rfind(')').ok_or_else(|| ParseCircuitError {
-                line,
-                message: "unclosed parameter".into(),
-            })?;
+            let close = token
+                .rfind(')')
+                .filter(|&close| close > open)
+                .ok_or_else(|| fail("unclosed parameter"))?;
             let value: f64 = token[open + 1..close]
                 .parse()
-                .map_err(|_| ParseCircuitError {
-                    line,
-                    message: "invalid parameter".into(),
-                })?;
+                .map_err(|_| fail("invalid parameter"))?;
+            if !value.is_finite() {
+                return Err(fail("non-finite parameter"));
+            }
             Ok((&token[..open], Some(value)))
         }
     }
@@ -166,6 +167,13 @@ fn build_op(
         line,
         message: message.to_string(),
     };
+    if qubits
+        .iter()
+        .enumerate()
+        .any(|(i, q)| qubits[..i].contains(q))
+    {
+        return Err(fail("duplicate qubit operands"));
+    }
     let need_param = || param.ok_or_else(|| fail("missing parameter"));
     let no_param = |g: Gate| {
         if param.is_some() {
@@ -186,6 +194,9 @@ fn build_op(
         };
         if qs.len() != channel.arity() {
             return Err(fail("wrong number of qubits for channel"));
+        }
+        if !(0.0..=1.0).contains(&p) {
+            return Err(fail(&format!("noise probability {p} outside [0, 1]")));
         }
         return Ok(Operation::noise(channel, qs));
     }
@@ -288,12 +299,31 @@ mod tests {
         assert!(e.message.contains("wrong number"));
         let e = from_text("qubits 2\n!bitflip(2) 0 1").unwrap_err();
         assert!(e.message.contains("wrong number"));
+        let e = from_text("qubits 2\nh 0\ncx 1 1").unwrap_err();
+        assert_eq!(e.line, 3);
+        assert!(e.message.contains("duplicate"));
+        let e = from_text("qubits 2\n!depolarize2(0.1) 1 1").unwrap_err();
+        assert_eq!(e.line, 2);
+        assert!(e.message.contains("duplicate"));
+        let e = from_text("qubits 1\n!bitflip(7.5) 0").unwrap_err();
+        assert_eq!(e.line, 2);
+        assert!(e.message.contains("outside [0, 1]"));
+        let e = from_text("qubits 1\n!phaseflip(-0.5) 0").unwrap_err();
+        assert!(e.message.contains("outside [0, 1]"));
     }
 
     #[test]
     fn rejects_unclosed_or_bad_params() {
         assert!(from_text("qubits 1\nrz(1.0 0").is_err());
+        assert!(from_text("qubits 1\nrz)(1.0 0").is_err());
         assert!(from_text("qubits 1\nrz(abc) 0").is_err());
         assert!(from_text("qubits 1\nh(0.5) 0").is_err());
+        for bad in ["rz(NaN) 0", "rz(inf) 0", "rx(-inf) 0", "!bitflip(NaN) 0"] {
+            let e = from_text(&format!("qubits 1\n{bad}")).unwrap_err();
+            assert_eq!(e.line, 2, "{bad}");
+            assert!(e.message.contains("non-finite"), "{bad}: {e}");
+        }
+        // The probability bounds are inclusive.
+        assert!(from_text("qubits 1\n!bitflip(0) 0\n!bitflip(1) 0").is_ok());
     }
 }

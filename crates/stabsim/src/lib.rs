@@ -1,20 +1,21 @@
 //! A fast stabilizer-circuit simulator — the Stim substitute in SuperSim-RS.
 //!
-//! Three interchangeable tableau engines plus a frame simulator:
+//! One production tableau engine, its frozen oracle, and a frame
+//! simulator:
 //!
 //! | Engine | Layout | Gate cost | Measure cost | Use it for |
 //! |---|---|---|---|---|
-//! | [`TableauSim`] | row-major bit-planes | `O(n)` bit probes | `O(n·n/64)` word rowsums | balanced default: measurement/support-heavy fragment evaluation |
-//! | [`SparseGateTableauSim`] | column-major bit-planes (inverse/Stim orientation) | `O(n/64)` words | `O(n·n/64)` bit-sliced collapse + lazy transpose | gate-dense circuits |
+//! | [`TableauSim`] | row-major bit-planes | `O(n)` bit probes | `O(n·n/64)` word rowsums | all noiseless Clifford fragment evaluation |
 //! | [`ReferenceTableauSim`] | per-qubit `Vec<u64>` columns | `O(n/64)` words, scalar | row extraction per step | differential-testing oracle (`#[doc(hidden)]`) |
 //! | [`FrameSim`] | Pauli frames, batch-major | — | — | noisy multi-shot sampling (Pauli channels only) |
 //!
-//! All three tableau engines produce **bit-identical outcome streams and
-//! seeded-RNG consumption** — engine choice is purely a performance knob
-//! (`cutkit::TableauEngine`), enforced by the `tableau_engine_parity`
-//! suite. [`AffineSupport`] — the extracted computational-basis support
-//! of a stabilizer state — makes 300-qubit sampling cheap and is shared
-//! verbatim by every engine.
+//! The two tableau engines produce **bit-identical outcome streams and
+//! seeded-RNG consumption**, enforced by the `tableau_engine_parity`
+//! suite; `cutkit::TableauEngine::Reference` routes whole pipeline runs
+//! through the oracle so the guarantee stays testable end-to-end.
+//! [`AffineSupport`] — the extracted computational-basis support of a
+//! stabilizer state — makes 300-qubit sampling cheap and is shared
+//! verbatim by both engines.
 //!
 //! ```
 //! use qcir::Circuit;
@@ -31,14 +32,12 @@
 mod frame;
 mod packed;
 mod reference_tableau;
-mod sparse_gate;
 mod tableau;
 
 pub use frame::FrameSim;
 pub use packed::PackedPauli;
 #[doc(hidden)]
 pub use reference_tableau::ReferenceTableauSim;
-pub use sparse_gate::SparseGateTableauSim;
 pub use tableau::{AffineSupport, TableauSim};
 
 /// Error returned when a stabilizer engine encounters a non-Clifford gate.

@@ -1,93 +1,22 @@
-//! Three-way bit-identity of the tableau engines: the word-parallel
-//! row-major `TableauSim`, the column-major `SparseGateTableauSim`, and
-//! the frozen bit-at-a-time `ReferenceTableauSim` baseline.
+//! Bit-identity of the production tableau engine, the word-parallel
+//! row-major `TableauSim`, against the frozen bit-at-a-time
+//! `ReferenceTableauSim` baseline.
 //!
-//! All engines must be indistinguishable for any seed: identical
+//! The two engines must be indistinguishable for any seed: identical
 //! measurement outcomes, identical stabilizer/destabilizer generators,
 //! identical affine-support extraction (same base, same direction order),
 //! identical expectation values, and — the property everything downstream
 //! leans on — identical seeded-RNG consumption, so every later draw in a
-//! shared stream stays aligned. The last test pushes the guarantee
-//! end-to-end: fragment tensors evaluated through any engine are
-//! bit-identical at 1, 2, and 8 worker threads.
+//! shared stream stays aligned. The last tests push the guarantee
+//! end-to-end: pipeline runs and fragment tensors evaluated through either
+//! engine are bit-identical, the tensors at 1, 2, and 8 worker threads.
 
 use cutkit::{cut_circuit, CutStrategy, EvalMode, EvalOptions, TableauEngine, TensorOptions};
 use proptest::prelude::*;
 use qcir::{Circuit, Pauli, PauliString};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
-use stabsim::{ReferenceTableauSim, SparseGateTableauSim, TableauSim};
-
-/// Every engine the parity matrix covers, reference first (the oracle).
-const ENGINES: [TableauEngine; 3] = [
-    TableauEngine::Reference,
-    TableauEngine::Packed,
-    TableauEngine::SparseGate,
-];
-
-/// Engine-dispatch wrapper so one assertion body drives all three
-/// simulators through their identical surface.
-enum AnyTableau {
-    Packed(TableauSim),
-    SparseGate(SparseGateTableauSim),
-    Reference(ReferenceTableauSim),
-}
-
-impl AnyTableau {
-    fn run(engine: TableauEngine, c: &Circuit, rng: &mut impl rand::Rng) -> Self {
-        match engine {
-            TableauEngine::Packed => AnyTableau::Packed(TableauSim::run(c, rng).unwrap()),
-            TableauEngine::SparseGate => {
-                AnyTableau::SparseGate(SparseGateTableauSim::run(c, rng).unwrap())
-            }
-            TableauEngine::Reference => {
-                AnyTableau::Reference(ReferenceTableauSim::run(c, rng).unwrap())
-            }
-        }
-    }
-
-    fn stabilizers(&self) -> Vec<String> {
-        let v = match self {
-            AnyTableau::Packed(s) => s.stabilizers(),
-            AnyTableau::SparseGate(s) => s.stabilizers(),
-            AnyTableau::Reference(s) => s.stabilizers(),
-        };
-        v.iter().map(|s| s.to_string()).collect()
-    }
-
-    fn destabilizers(&self) -> Vec<String> {
-        let v = match self {
-            AnyTableau::Packed(s) => s.destabilizers(),
-            AnyTableau::SparseGate(s) => s.destabilizers(),
-            AnyTableau::Reference(s) => s.destabilizers(),
-        };
-        v.iter().map(|s| s.to_string()).collect()
-    }
-
-    fn support(&self) -> stabsim::AffineSupport {
-        match self {
-            AnyTableau::Packed(s) => s.support(),
-            AnyTableau::SparseGate(s) => s.support(),
-            AnyTableau::Reference(s) => s.support(),
-        }
-    }
-
-    fn measure(&mut self, q: usize, rng: &mut impl rand::Rng) -> bool {
-        match self {
-            AnyTableau::Packed(s) => s.measure(q, rng),
-            AnyTableau::SparseGate(s) => s.measure(q, rng),
-            AnyTableau::Reference(s) => s.measure(q, rng),
-        }
-    }
-
-    fn expectation(&self, p: &PauliString) -> i32 {
-        match self {
-            AnyTableau::Packed(s) => s.expectation(p),
-            AnyTableau::SparseGate(s) => s.expectation(p),
-            AnyTableau::Reference(s) => s.expectation(p),
-        }
-    }
-}
+use stabsim::{ReferenceTableauSim, TableauSim};
 
 /// RNG wrapper that counts every `next_u64` draw, for asserting the two
 /// engines consume a shared stream at exactly the same rate.
@@ -110,6 +39,10 @@ impl RngCore for CountingRng {
         self.draws += 1;
         self.inner.next_u64()
     }
+}
+
+fn strings(v: Vec<PauliString>) -> Vec<String> {
+    v.iter().map(|s| s.to_string()).collect()
 }
 
 /// A random near-arbitrary Clifford circuit with optional noise channels.
@@ -150,80 +83,68 @@ fn clifford_circuit(n: usize, ops: &[(u8, usize, usize)], noise: bool) -> Circui
     c
 }
 
-/// Drives the same circuit + measurement schedule through all three
-/// engines on independent counting streams of one seed and asserts
-/// everything is bit-identical, including the number of RNG draws.
+/// Drives the same circuit + measurement schedule through both engines on
+/// independent counting streams of one seed and asserts everything is
+/// bit-identical, including the number of RNG draws.
 fn assert_engines_bit_identical(c: &Circuit, measure: &[usize], seed: u64) {
     let n = c.num_qubits();
-    let mut rngs: Vec<CountingRng> = ENGINES.iter().map(|_| CountingRng::seed(seed)).collect();
-    let mut sims: Vec<AnyTableau> = ENGINES
-        .iter()
-        .zip(&mut rngs)
-        .map(|(&e, rng)| AnyTableau::run(e, c, rng))
-        .collect();
+    let mut ref_rng = CountingRng::seed(seed);
+    let mut rng = CountingRng::seed(seed);
+    let mut reference = ReferenceTableauSim::run(c, &mut ref_rng).unwrap();
+    let mut packed = TableauSim::run(c, &mut rng).unwrap();
 
     // Pre-collapse state: generators and support extraction must agree.
-    let ref_stabs = sims[0].stabilizers();
-    let ref_destabs = sims[0].destabilizers();
-    let ref_support = sims[0].support();
-    for (i, sim) in sims.iter().enumerate().skip(1) {
-        let e = ENGINES[i];
-        assert_eq!(sim.stabilizers(), ref_stabs, "{e:?} stabilizers diverged");
-        assert_eq!(
-            sim.destabilizers(),
-            ref_destabs,
-            "{e:?} destabilizers diverged"
-        );
-        let s = sim.support();
-        assert_eq!(s.base(), ref_support.base(), "{e:?} support base diverged");
-        assert_eq!(
-            s.directions(),
-            ref_support.directions(),
-            "{e:?} support directions diverged"
-        );
-    }
+    assert_eq!(
+        strings(packed.stabilizers()),
+        strings(reference.stabilizers()),
+        "stabilizers diverged"
+    );
+    assert_eq!(
+        strings(packed.destabilizers()),
+        strings(reference.destabilizers()),
+        "destabilizers diverged"
+    );
+    let ref_support = reference.support();
+    let support = packed.support();
+    assert_eq!(support.base(), ref_support.base(), "support base diverged");
+    assert_eq!(
+        support.directions(),
+        ref_support.directions(),
+        "support directions diverged"
+    );
 
     // Bulk sampling consumes the shared stream identically.
-    let ref_samples = ref_support.sample_many(40, &mut rngs[0]);
-    for (i, rng) in rngs.iter_mut().enumerate().skip(1) {
-        let e = ENGINES[i];
-        let samples = sims[i].support().sample_many(40, rng);
-        assert_eq!(samples, ref_samples, "{e:?} samples diverged");
-    }
+    assert_eq!(
+        support.sample_many(40, &mut rng),
+        ref_support.sample_many(40, &mut ref_rng),
+        "samples diverged"
+    );
 
     // Collapse-style measurement: same outcomes, same draw counts.
     for &q in measure {
         let q = q % n;
-        let a = sims[0].measure(q, &mut rngs[0]);
-        for i in 1..ENGINES.len() {
-            let e = ENGINES[i];
-            let b = sims[i].measure(q, &mut rngs[i]);
-            assert_eq!(a, b, "{e:?} measurement outcome diverged at qubit {q}");
-            assert_eq!(
-                rngs[i].draws, rngs[0].draws,
-                "{e:?} RNG draw counts diverged at qubit {q}"
-            );
-        }
+        let a = reference.measure(q, &mut ref_rng);
+        let b = packed.measure(q, &mut rng);
+        assert_eq!(a, b, "measurement outcome diverged at qubit {q}");
+        assert_eq!(
+            rng.draws, ref_rng.draws,
+            "RNG draw counts diverged at qubit {q}"
+        );
     }
 
     // Post-collapse generators still agree.
-    let ref_stabs = sims[0].stabilizers();
-    for (i, sim) in sims.iter().enumerate().skip(1) {
-        let e = ENGINES[i];
-        assert_eq!(
-            sim.stabilizers(),
-            ref_stabs,
-            "{e:?} post-measurement stabilizers diverged"
-        );
-    }
+    assert_eq!(
+        strings(packed.stabilizers()),
+        strings(reference.stabilizers()),
+        "post-measurement stabilizers diverged"
+    );
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Random Clifford circuits + measurement schedules: the packed and
-    /// sparse-gate engines are bit-identical to the frozen reference, RNG
-    /// draws included.
+    /// Random Clifford circuits + measurement schedules: the packed engine
+    /// is bit-identical to the frozen reference, RNG draws included.
     #[test]
     fn engines_match_reference(
         n in 1usize..9,
@@ -235,7 +156,7 @@ proptest! {
         assert_engines_bit_identical(&c, &measure, seed);
     }
 
-    /// Same with Pauli noise trajectories in the stream: every engine must
+    /// Same with Pauli noise trajectories in the stream: both engines must
     /// draw the trajectory identically.
     #[test]
     fn engines_match_reference_with_noise(
@@ -248,8 +169,7 @@ proptest! {
         assert_engines_bit_identical(&c, &measure, seed);
     }
 
-    /// Exact Pauli expectations agree across all three engines (the
-    /// sparse-gate one computes the commutation screen column-wise).
+    /// Exact Pauli expectations agree between the engines.
     #[test]
     fn expectations_match_reference(
         ops in proptest::collection::vec((0u8..10, 0usize..16, 0usize..16), 1..40),
@@ -269,20 +189,20 @@ proptest! {
                 })
                 .collect::<Vec<_>>(),
         );
-        let mut rng = StdRng::seed_from_u64(seed);
-        let reference = AnyTableau::run(TableauEngine::Reference, &c, &mut rng).expectation(&p);
-        for engine in [TableauEngine::Packed, TableauEngine::SparseGate] {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let e = AnyTableau::run(engine, &c, &mut rng).expectation(&p);
-            prop_assert_eq!(e, reference, "{:?} expectation diverged", engine);
-        }
+        let reference = ReferenceTableauSim::run(&c, &mut StdRng::seed_from_u64(seed))
+            .unwrap()
+            .expectation(&p);
+        let packed = TableauSim::run(&c, &mut StdRng::seed_from_u64(seed))
+            .unwrap()
+            .expectation(&p);
+        prop_assert_eq!(packed, reference, "expectation diverged");
     }
 }
 
 /// The engine knob is selectable through the top-level pipeline
 /// (`SuperSimConfig::tableau_engine`), and the whole run — marginals,
-/// joint distribution, MLFT diagnostic — is bit-identical across all
-/// three engines for the same seed.
+/// joint distribution, MLFT diagnostic — is bit-identical between the
+/// engines for the same seed.
 #[test]
 fn supersim_pipeline_bit_identical_across_engines() {
     use supersim::{SuperSim, SuperSimConfig};
@@ -298,27 +218,24 @@ fn supersim_pipeline_bit_identical_across_engines() {
         .run(&w.circuit)
         .unwrap();
     let rd = reference.distribution.unwrap();
-    for engine in [TableauEngine::Packed, TableauEngine::SparseGate] {
-        let run = SuperSim::new(mk(engine)).run(&w.circuit).unwrap();
+    let run = SuperSim::new(mk(TableauEngine::Packed))
+        .run(&w.circuit)
+        .unwrap();
+    assert!(
+        run.report.mlft_moved.to_bits() == reference.report.mlft_moved.to_bits(),
+        "MLFT diagnostic diverged"
+    );
+    for (q, (p, r)) in run.marginals.iter().zip(&reference.marginals).enumerate() {
         assert!(
-            run.report.mlft_moved.to_bits() == reference.report.mlft_moved.to_bits(),
-            "{engine:?} MLFT diagnostic diverged"
+            p[0].to_bits() == r[0].to_bits() && p[1].to_bits() == r[1].to_bits(),
+            "marginal bits differ at qubit {q}"
         );
-        for (q, (p, r)) in run.marginals.iter().zip(&reference.marginals).enumerate() {
-            assert!(
-                p[0].to_bits() == r[0].to_bits() && p[1].to_bits() == r[1].to_bits(),
-                "{engine:?} marginal bits differ at qubit {q}"
-            );
-        }
-        let pd = run.distribution.unwrap();
-        assert_eq!(pd.support_len(), rd.support_len());
-        for ((pb, pp), (rb, rp)) in pd.iter().zip(rd.iter()) {
-            assert_eq!(pb, rb, "{engine:?} joint emission order diverged");
-            assert!(
-                pp.to_bits() == rp.to_bits(),
-                "{engine:?} probability bits at {pb}"
-            );
-        }
+    }
+    let pd = run.distribution.unwrap();
+    assert_eq!(pd.support_len(), rd.support_len());
+    for ((pb, pp), (rb, rp)) in pd.iter().zip(rd.iter()) {
+        assert_eq!(pb, rb, "joint emission order diverged");
+        assert!(pp.to_bits() == rp.to_bits(), "probability bits at {pb}");
     }
 }
 
@@ -343,9 +260,9 @@ fn engines_match_reference_multiword() {
     }
 }
 
-/// End-to-end: fragment tensors built through any tableau engine are
-/// bit-identical — same support, same emission order, same coefficient
-/// float bits — at 1, 2, and 8 worker threads.
+/// End-to-end: fragment tensors built through the packed engine are
+/// bit-identical to the reference build — same support, same emission
+/// order, same coefficient float bits — at 1, 2, and 8 worker threads.
 #[test]
 fn fragment_tensors_bit_identical_across_engines_and_threads() {
     let mut c = Circuit::new(6);
@@ -371,40 +288,30 @@ fn fragment_tensors_bit_identical_across_engines_and_threads() {
         let baseline =
             cutkit::evaluate_fragment_tensors(&cut.fragments, &reference_eval, &opts, &seeds, 1)
                 .unwrap();
-        for engine in [TableauEngine::Packed, TableauEngine::SparseGate] {
-            let eval = EvalOptions {
-                mode,
-                tableau_engine: engine,
-                ..Default::default()
-            };
-            for threads in [1usize, 2, 8] {
-                let tensors = cutkit::evaluate_fragment_tensors(
-                    &cut.fragments,
-                    &eval,
-                    &opts,
-                    &seeds,
-                    threads,
-                )
-                .unwrap();
-                assert_eq!(tensors.len(), baseline.len());
-                for (fi, (p, r)) in tensors.iter().zip(&baseline).enumerate() {
-                    assert_eq!(
-                        p.support_len(),
-                        r.support_len(),
-                        "support diverged: {engine:?}, fragment {fi}, {threads} threads, {mode:?}"
-                    );
-                    for ((pb, pv), (rb, rv)) in p.iter().zip(r.iter()) {
-                        assert_eq!(
-                            pb, rb,
-                            "outcome order diverged at fragment {fi} ({engine:?})"
+        let eval = EvalOptions {
+            mode,
+            tableau_engine: TableauEngine::Packed,
+            ..Default::default()
+        };
+        for threads in [1usize, 2, 8] {
+            let tensors =
+                cutkit::evaluate_fragment_tensors(&cut.fragments, &eval, &opts, &seeds, threads)
+                    .unwrap();
+            assert_eq!(tensors.len(), baseline.len());
+            for (fi, (p, r)) in tensors.iter().zip(&baseline).enumerate() {
+                assert_eq!(
+                    p.support_len(),
+                    r.support_len(),
+                    "support diverged: fragment {fi}, {threads} threads, {mode:?}"
+                );
+                for ((pb, pv), (rb, rv)) in p.iter().zip(r.iter()) {
+                    assert_eq!(pb, rb, "outcome order diverged at fragment {fi}");
+                    for (x, y) in pv.iter().zip(rv) {
+                        assert!(
+                            x.to_bits() == y.to_bits(),
+                            "coefficient bits diverged: fragment {fi}, \
+                             outcome {pb}, {threads} threads, {mode:?}"
                         );
-                        for (x, y) in pv.iter().zip(rv) {
-                            assert!(
-                                x.to_bits() == y.to_bits(),
-                                "coefficient bits diverged: {engine:?}, fragment {fi}, \
-                                 outcome {pb}, {threads} threads, {mode:?}"
-                            );
-                        }
                     }
                 }
             }
