@@ -110,7 +110,7 @@
 //! | [`Injected`](SuperSimError::Injected) with the transient marker | transient | retry with backoff |
 //! | [`BreakerOpen`](SuperSimError::BreakerOpen) | transient | retry (cool-down consumes attempts) |
 //! | [`Rejected`](SuperSimError::Rejected) | permanent* | degrade if a ladder rung remains, else fail |
-//! | [`Cut`](SuperSimError::Cut) / [`Eval`](SuperSimError::Eval) / [`Mlft`](SuperSimError::Mlft) | permanent | fail (deterministic reproduction) |
+//! | [`Cut`](SuperSimError::Cut) / [`Config`](SuperSimError::Config) / [`Eval`](SuperSimError::Eval) / [`Mlft`](SuperSimError::Mlft) | permanent | fail (deterministic reproduction) |
 //! | [`Cancelled`](SuperSimError::Cancelled) | permanent | fail (the caller asked) |
 //!
 //! (*admission re-judges each escalated attempt against the

@@ -65,13 +65,14 @@ use super::execute::{
 };
 use super::plan::CutPlan;
 use super::supervise::Admission;
-use super::{fault_error, SuperSimConfig, SuperSimError};
+use super::{fault_error, ConfigError, SuperSimConfig, SuperSimError};
 use cutkit::{
     correct_tensor, evaluate_planned_chunk, merge_planned_chunks, planned_num_chunks, EvalChunk,
     EvalError, EvalOptions, FragmentTensor, MlftError, MlftOptions, TensorOptions,
 };
 use faultkit::{into_inner_or_recover, lock_or_recover, wait_or_recover, Fault, Stage, Supervisor};
 use std::collections::VecDeque;
+use std::convert::Infallible;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -314,13 +315,18 @@ pub(crate) fn execute_jobs(
     let mut pooled: Vec<usize> = Vec::with_capacity(jobs.len());
     let mut solo: Vec<usize> = Vec::new();
     for (i, job) in jobs.iter().enumerate() {
+        // An invalid budget would only fail at recombination, after every
+        // variant ran; reject it up front, permanently.
+        let budget = resolved_error_budget(config, job.params);
+        if !budget.is_finite() || budget < 0.0 {
+            let invalid = ConfigError::InvalidErrorBudget(budget);
+            results[i] = Some(Err(SuperSimError::Config(invalid)));
+            continue;
+        }
         // Admission judges the budget-discounted cost: a job whose error
         // budget will truncate most of its sweep should not be rejected
         // (or sequentialized) on the exact sweep's assignment count.
-        let cost = job
-            .plan
-            .cost()
-            .with_error_budget(resolved_error_budget(config, job.params));
+        let cost = job.plan.cost().with_error_budget(budget);
         match config.admission.admit(&cost) {
             Admission::Admit => pooled.push(i),
             Admission::Solo => solo.push(i),
@@ -376,27 +382,17 @@ fn run_scheduled(
             (0..s.num_chunks).map(move |c| Task::EvalChunk { job: j, chunk: c })
         }),
     );
-    if workers <= 1 {
-        // Sequential drain on the current thread — the identical task
-        // structure, so results match the pooled paths bit for bit.
+    // Workers (including the calling thread; one worker drains inline)
+    // drain the same queue, and consecutive batches reuse the live pool
+    // threads. A panic escaping the drain loop trips `AbortOnPanic` (the
+    // pool unwinds the worker's ticket, so `std::thread::panicking()` is
+    // observed) and is re-raised by `run` after every ticket finishes.
+    runtime::Pool::global().run(workers, |_| {
+        let _abort_guard = AbortOnPanic(&queue);
         while let Some(task) = queue.pop() {
             run_task(config, &states, &queue, task);
         }
-    } else {
-        // The persistent runtime pool replaces the per-call thread scope:
-        // workers (including the calling thread) drain the same queue, and
-        // consecutive batches reuse the live threads. A panic escaping the
-        // drain loop trips `AbortOnPanic` (the pool unwinds the worker's
-        // ticket, so `std::thread::panicking()` is observed) and is
-        // re-raised by `run` after every ticket finishes — the same
-        // propagation the scope join used to provide.
-        runtime::Pool::global().run(workers, |_| {
-            let _abort_guard = AbortOnPanic(&queue);
-            while let Some(task) = queue.pop() {
-                run_task(config, &states, &queue, task);
-            }
-        });
-    }
+    });
     for (&i, s) in subset.iter().zip(states) {
         results[i] =
             Some(into_inner_or_recover(s.result).expect("every scheduled job records a result"));
@@ -673,22 +669,17 @@ pub(crate) fn build_plans(
         .map(|c| cache.get(c, strategy).map(|p| (Ok(p), true)))
         .collect();
     let missing: Vec<usize> = (0..circuits.len()).filter(|&i| out[i].is_none()).collect();
-    let workers = worker_threads(config).min(missing.len()).max(1);
-    if workers <= 1 {
-        for &i in &missing {
-            out[i] = Some((build(&circuits[i]), false));
-        }
-    } else {
-        let slots: Vec<Mutex<Option<Result<Arc<CutPlan>, SuperSimError>>>> =
-            missing.iter().map(|_| Mutex::new(None)).collect();
-        let queue = runtime::CounterQueue::new(missing.len());
-        runtime::Pool::global().run_queue(workers, &queue, |_, j| {
-            *lock_or_recover(&slots[j]) = Some(build(&circuits[missing[j]]));
-        });
-        for (&i, slot) in missing.iter().zip(slots) {
-            let built = into_inner_or_recover(slot).expect("every circuit gets planned");
-            out[i] = Some((built, false));
-        }
+    // A failed build is this circuit's result, never a reason to stop.
+    let Ok(built) = runtime::run_chunks(
+        worker_threads(config),
+        missing.len(),
+        || (),
+        |j, _| Ok::<_, Infallible>(build(&circuits[missing[j]])),
+        Vec::with_capacity(missing.len()),
+        |built, plan| built.push(plan),
+    );
+    for (&i, plan) in missing.iter().zip(built) {
+        out[i] = Some((plan, false));
     }
     // Publish the fresh builds in circuit order (duplicate circuits in
     // one batch each build once here and converge on a single entry).

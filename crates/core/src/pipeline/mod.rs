@@ -71,7 +71,7 @@ pub use supervise::{Admission, AdmissionError, AdmissionPolicy};
 
 use cache::PlanCache;
 
-use cutkit::{CutBudgetError, CutStrategy, EvalError, MlftError, TableauEngine};
+use cutkit::{CutError, CutStrategy, EvalError, MlftError, TableauEngine};
 use faultkit::{CancelToken, Fault, FaultPlan, Interrupt, Stage, Supervisor};
 use qcir::Circuit;
 use std::fmt;
@@ -430,8 +430,14 @@ impl SuperSimConfigBuilder {
 /// fingerprint; [`SuperSimError::root`] unwraps that context.
 #[derive(Debug)]
 pub enum SuperSimError {
-    /// The cutter could not respect the cut budget.
-    Cut(CutBudgetError),
+    /// The circuit could not be cut into a plan recombination can run
+    /// (cut budget exceeded, manual cut point off its wire, or more cuts
+    /// than the `4^k` contraction supports).
+    Cut(CutError),
+    /// The run's resolved configuration is invalid (an
+    /// [`ExecParams::error_budget`] or [`SuperSimConfig::error_budget`]
+    /// that is NaN, infinite, or negative). Judged before any work runs.
+    Config(ConfigError),
     /// A fragment could not be evaluated.
     Eval(EvalError),
     /// The MLFT correction could not normalize a fragment (its tensor
@@ -515,6 +521,7 @@ impl fmt::Display for SuperSimError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SuperSimError::Cut(e) => write!(f, "cutting failed: {e}"),
+            SuperSimError::Config(e) => write!(f, "invalid run configuration: {e}"),
             SuperSimError::Eval(e) => write!(f, "fragment evaluation failed: {e}"),
             SuperSimError::Mlft(e) => write!(f, "MLFT correction failed: {e}"),
             SuperSimError::Panicked {
@@ -558,6 +565,7 @@ impl std::error::Error for SuperSimError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             SuperSimError::Cut(e) => Some(e),
+            SuperSimError::Config(e) => Some(e),
             SuperSimError::Eval(e) => Some(e),
             SuperSimError::Mlft(e) => Some(e),
             SuperSimError::Rejected(e) => Some(e),
@@ -588,8 +596,8 @@ pub(crate) fn fault_error(stage: Stage, fault: Fault, supervisor: &Supervisor) -
     }
 }
 
-impl From<CutBudgetError> for SuperSimError {
-    fn from(e: CutBudgetError) -> Self {
+impl From<CutError> for SuperSimError {
+    fn from(e: CutError) -> Self {
         SuperSimError::Cut(e)
     }
 }
@@ -670,7 +678,8 @@ impl SuperSim {
     ///
     /// # Errors
     ///
-    /// Returns [`SuperSimError::Cut`] when cutting exceeds the cut budget.
+    /// Returns [`SuperSimError::Cut`] when the circuit cannot be cut into
+    /// a plan recombination can run.
     pub fn plan(&self, circuit: &Circuit) -> Result<Arc<CutPlan>, SuperSimError> {
         Ok(self.plan_cached(circuit)?.0)
     }

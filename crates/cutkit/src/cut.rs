@@ -12,6 +12,7 @@
 //! "cut a non-Clifford gate from the middle" trade-off) to respect the
 //! `4^k` reconstruction budget.
 
+use crate::recombine::MAX_CONTRACTION_CUTS;
 use qcir::Circuit;
 use std::collections::HashMap;
 
@@ -160,27 +161,53 @@ impl CutCircuit {
     }
 }
 
-/// Error returned when a circuit cannot be cut within the configured
-/// budget.
+/// Error returned when a circuit cannot be cut into fragments that
+/// recombination can contract.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CutBudgetError {
-    /// Cuts required after maximal merging.
-    pub required: usize,
-    /// The configured maximum.
-    pub max_cuts: usize,
+pub enum CutError {
+    /// Isolating the non-Clifford operations needs more cuts than the
+    /// strategy's budget, even after merging every fragment pair that
+    /// shares a cut.
+    Budget {
+        /// Cuts required after maximal merging.
+        required: usize,
+        /// The configured maximum.
+        max_cuts: usize,
+    },
+    /// A manual cut point names a qubit out of range or an operation that
+    /// does not act on its qubit.
+    OffWire(CutPoint),
+    /// The cut has more cuts than the `4^k` contraction supports
+    /// ([`MAX_CONTRACTION_CUTS`]).
+    TooManyCuts {
+        /// Cuts in the decomposition.
+        cuts: usize,
+    },
 }
 
-impl std::fmt::Display for CutBudgetError {
+impl std::fmt::Display for CutError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "circuit requires {} cuts, exceeding the budget of {} (reconstruction is 4^k)",
-            self.required, self.max_cuts
-        )
+        match self {
+            CutError::Budget { required, max_cuts } => write!(
+                f,
+                "circuit requires {required} cuts, exceeding the budget of {max_cuts} \
+                 (reconstruction is 4^k)"
+            ),
+            CutError::OffWire(p) => write!(
+                f,
+                "cut point {}:{} does not lie on the wire of qubit {}",
+                p.qubit, p.after_op, p.qubit
+            ),
+            CutError::TooManyCuts { cuts } => write!(
+                f,
+                "{cuts} cuts exceed the {MAX_CONTRACTION_CUTS} that recombination \
+                 can contract (reconstruction is 4^k)"
+            ),
+        }
     }
 }
 
-impl std::error::Error for CutBudgetError {}
+impl std::error::Error for CutError {}
 
 /// Simple union-find over operation indices.
 struct UnionFind {
@@ -222,45 +249,45 @@ impl UnionFind {
 ///
 /// # Errors
 ///
-/// Returns [`CutBudgetError`] when isolating the non-Clifford operations
-/// requires more cuts than the strategy's budget even after merging all
-/// fragments that share a cut.
-///
-/// # Panics
-///
-/// With [`CutStrategy::Manual`], panics if a cut point references an
-/// operation that does not act on the given qubit.
-pub fn cut_circuit(circuit: &Circuit, strategy: CutStrategy) -> Result<CutCircuit, CutBudgetError> {
-    match strategy {
-        CutStrategy::None => Ok(single_fragment(circuit)),
-        CutStrategy::IsolateNonClifford { max_cuts } => isolate(circuit, max_cuts),
-        CutStrategy::Manual(points) => Ok(manual(circuit, &points)),
+/// Returns [`CutError::Budget`] when isolating the non-Clifford
+/// operations requires more cuts than the strategy's budget even after
+/// merging all fragments that share a cut, [`CutError::OffWire`] when a
+/// [`CutStrategy::Manual`] point references an operation that does not
+/// act on the given qubit, and [`CutError::TooManyCuts`] when the
+/// decomposition has more cuts than [`MAX_CONTRACTION_CUTS`].
+pub fn cut_circuit(circuit: &Circuit, strategy: CutStrategy) -> Result<CutCircuit, CutError> {
+    let cut = match strategy {
+        CutStrategy::None => single_fragment(circuit),
+        CutStrategy::IsolateNonClifford { max_cuts } => isolate(circuit, max_cuts)?,
+        CutStrategy::Manual(points) => manual(circuit, &points)?,
+    };
+    if cut.num_cuts > MAX_CONTRACTION_CUTS {
+        return Err(CutError::TooManyCuts { cuts: cut.num_cuts });
     }
+    Ok(cut)
 }
 
 /// Cuts exactly at the requested positions.
-fn manual(circuit: &Circuit, points: &[CutPoint]) -> CutCircuit {
+fn manual(circuit: &Circuit, points: &[CutPoint]) -> Result<CutCircuit, CutError> {
     let ops = circuit.ops();
     let n = circuit.num_qubits();
-    if ops.is_empty() {
-        return single_fragment(circuit);
-    }
     let mut wires: Vec<Vec<usize>> = vec![Vec::new(); n];
     for (i, op) in ops.iter().enumerate() {
         for q in &op.qubits {
             wires[q.index()].push(i);
         }
     }
-    let cut_set: std::collections::HashSet<(usize, usize)> = points
+    if let Some(&p) = points
         .iter()
-        .map(|p| {
-            assert!(
-                p.qubit < n && wires[p.qubit].contains(&p.after_op),
-                "cut point {p:?} does not lie on the wire"
-            );
-            (p.qubit, p.after_op)
-        })
-        .collect();
+        .find(|p| p.qubit >= n || !wires[p.qubit].contains(&p.after_op))
+    {
+        return Err(CutError::OffWire(p));
+    }
+    if ops.is_empty() {
+        return Ok(single_fragment(circuit));
+    }
+    let cut_set: std::collections::HashSet<(usize, usize)> =
+        points.iter().map(|p| (p.qubit, p.after_op)).collect();
     let mut uf = UnionFind::new(ops.len());
     for (q, wire) in wires.iter().enumerate() {
         for pair in wire.windows(2) {
@@ -269,7 +296,7 @@ fn manual(circuit: &Circuit, points: &[CutPoint]) -> CutCircuit {
             }
         }
     }
-    build_fragments(circuit, &wires, &mut uf).expect("manual fragmentation cannot fail")
+    Ok(build_fragments(circuit, &wires, &mut uf))
 }
 
 /// Wraps the whole circuit as one fragment with no cuts.
@@ -290,7 +317,7 @@ fn single_fragment(circuit: &Circuit) -> CutCircuit {
     }
 }
 
-fn isolate(circuit: &Circuit, max_cuts: usize) -> Result<CutCircuit, CutBudgetError> {
+fn isolate(circuit: &Circuit, max_cuts: usize) -> Result<CutCircuit, CutError> {
     let ops = circuit.ops();
     let n = circuit.num_qubits();
     if ops.is_empty() {
@@ -347,7 +374,7 @@ fn isolate(circuit: &Circuit, max_cuts: usize) -> Result<CutCircuit, CutBudgetEr
             // Everything merged into one component next iteration.
             let cuts = count_cuts(&wires, &mut uf);
             if cuts > max_cuts {
-                return Err(CutBudgetError {
+                return Err(CutError::Budget {
                     required: cuts,
                     max_cuts,
                 });
@@ -355,7 +382,7 @@ fn isolate(circuit: &Circuit, max_cuts: usize) -> Result<CutCircuit, CutBudgetEr
         }
     }
 
-    build_fragments(circuit, &wires, &mut uf)
+    Ok(build_fragments(circuit, &wires, &mut uf))
 }
 
 fn count_cuts(wires: &[Vec<usize>], uf: &mut UnionFind) -> usize {
@@ -378,11 +405,7 @@ struct Segment {
     global_qubit: usize,
 }
 
-fn build_fragments(
-    circuit: &Circuit,
-    wires: &[Vec<usize>],
-    uf: &mut UnionFind,
-) -> Result<CutCircuit, CutBudgetError> {
+fn build_fragments(circuit: &Circuit, wires: &[Vec<usize>], uf: &mut UnionFind) -> CutCircuit {
     let ops = circuit.ops();
     let n = circuit.num_qubits();
 
@@ -512,7 +535,7 @@ fn build_fragments(
         cut.validate();
         true
     });
-    Ok(cut)
+    cut
 }
 
 #[cfg(test)]
@@ -695,17 +718,57 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "does not lie on the wire")]
-    fn manual_cut_off_wire_panics() {
+    fn manual_cut_off_wire_is_an_error() {
         let mut c = Circuit::new(2);
         c.h(0).cx(0, 1);
-        let _ = cut_circuit(
-            &c,
-            CutStrategy::Manual(vec![CutPoint {
-                qubit: 1,
-                after_op: 0, // op 0 (H) does not touch qubit 1
-            }]),
+        for (qubit, after_op) in [(1, 0), (0, 99), (7, 0)] {
+            // (1, 0): op 0 (H) does not touch qubit 1; the others are out
+            // of range.
+            let point = CutPoint { qubit, after_op };
+            let err = cut_circuit(&c, CutStrategy::Manual(vec![point])).unwrap_err();
+            assert_eq!(err, CutError::OffWire(point));
+        }
+        // An empty circuit has no wire to cut either.
+        let point = CutPoint {
+            qubit: 0,
+            after_op: 0,
+        };
+        let err = cut_circuit(&Circuit::new(1), CutStrategy::Manual(vec![point])).unwrap_err();
+        assert_eq!(err, CutError::OffWire(point));
+    }
+
+    #[test]
+    fn more_cuts_than_recombination_supports_is_an_error() {
+        // Cutting a one-qubit chain after each of its first k ops gives k
+        // cuts.
+        let mut c = Circuit::new(1);
+        for _ in 0..16 {
+            c.h(0);
+        }
+        let points = |k: usize| {
+            CutStrategy::Manual(
+                (0..k)
+                    .map(|after_op| CutPoint { qubit: 0, after_op })
+                    .collect(),
+            )
+        };
+        let cut = cut_circuit(&c, points(MAX_CONTRACTION_CUTS)).unwrap();
+        assert_eq!(cut.num_cuts, MAX_CONTRACTION_CUTS);
+        let err = cut_circuit(&c, points(MAX_CONTRACTION_CUTS + 1)).unwrap_err();
+        assert_eq!(
+            err,
+            CutError::TooManyCuts {
+                cuts: MAX_CONTRACTION_CUTS + 1
+            }
         );
+        // A budget above the contraction limit does not lift it.
+        let mut ladder = Circuit::new(1);
+        for _ in 0..8 {
+            ladder.h(0).t(0);
+        }
+        let strategy = CutStrategy::IsolateNonClifford { max_cuts: 100 };
+        let err = cut_circuit(&ladder, strategy).unwrap_err();
+        assert!(matches!(err, CutError::TooManyCuts { cuts } if cuts > MAX_CONTRACTION_CUTS));
     }
 
     #[test]

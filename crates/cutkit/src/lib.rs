@@ -41,7 +41,7 @@ mod recombine;
 mod tensor;
 mod variants;
 
-pub use cut::{cut_circuit, CutBudgetError, CutCircuit, CutPoint, CutStrategy, Fragment};
+pub use cut::{cut_circuit, CutCircuit, CutError, CutPoint, CutStrategy, Fragment};
 pub use evaluate::{
     evaluate_variant, evaluate_variant_into, EvalError, EvalMode, EvalOptions, EvalScratch,
     TableauEngine,
@@ -55,9 +55,8 @@ pub use recombine::{Reconstructor, SweepStats, ASSIGNMENTS_PER_CHUNK, MAX_CONTRA
 #[doc(hidden)]
 pub use tensor::reference_evaluate_btreemap;
 pub use tensor::{
-    build_fragment_tensor, build_fragment_tensor_threaded, evaluate_fragment_tensors,
-    evaluate_fragment_tensors_planned, evaluate_planned_chunk, merge_planned_chunks,
-    planned_num_chunks, synthetic_dense_chain, EvalChunk, FragmentEvalPlan, FragmentTensor,
-    TensorOptions, PREP_TO_PAULI,
+    build_fragment_tensor, evaluate_fragment_tensors, evaluate_fragment_tensors_planned,
+    evaluate_planned_chunk, merge_planned_chunks, planned_num_chunks, synthetic_dense_chain,
+    EvalChunk, FragmentEvalPlan, FragmentTensor, TensorOptions, PREP_TO_PAULI,
 };
 pub use variants::{enumerate_variants, variant_circuit, MeasBasis, PrepState, Variant};

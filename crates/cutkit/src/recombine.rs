@@ -26,11 +26,11 @@
 //! # Parallel contraction
 //!
 //! The `4^k` assignment range is split into fixed-size chunks
-//! ([`ASSIGNMENTS_PER_CHUNK`]), each contracted into its own accumulator;
-//! accumulators are merged in chunk order. Because the chunking is
-//! independent of the worker count, every query is **bit-identical for any
-//! thread count** (including the sequential path, which runs the same
-//! chunks in the same merge order). Configure workers with
+//! ([`ASSIGNMENTS_PER_CHUNK`]), each contracted into its own accumulator
+//! on [`runtime::run_chunks`], which merges accumulators in chunk order.
+//! Because the chunking is independent of the worker count, every query
+//! is **bit-identical for any thread count**, one included (one worker
+//! runs the same chunks through the same driver). Configure workers with
 //! [`Reconstructor::with_threads`].
 //!
 //! Sparse skipping precomputes one bitmask of non-vanishing Pauli slices
@@ -59,6 +59,14 @@
 //! reconstructor all truncate the identical assignment set and stay
 //! mutually consistent.
 //!
+//! That query independence also lets one reconstructor decide the skip
+//! set once. Its first budgeted query records, per chunk, which
+//! assignments the sweep visited; the records ride the ordered merge, so
+//! recording works at any thread count. Every later budgeted query
+//! replays the records chunk by chunk — the same chunk-start and body
+//! calls in the same order, without walking the `4^k` range — so replayed
+//! results are bit-identical to a fresh sweep at any thread count.
+//!
 //! # Interned-id joint accumulation
 //!
 //! [`Reconstructor::joint`]'s outer product addresses outcomes by dense
@@ -71,19 +79,18 @@
 //! accumulation because every read path emits in sorted key order.
 
 use crate::tensor::FragmentTensor;
-use faultkit::{into_inner_or_recover, lock_or_recover, Fault, Stage, Supervisor};
+use faultkit::{Fault, Stage, Supervisor};
 use metrics::Distribution;
 use qcir::{Bits, IndexPlan};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 
 /// Hard cap on cuts for dense `4^k` contraction.
 pub const MAX_CONTRACTION_CUTS: usize = 13;
 
 /// Assignments contracted per work chunk. Fixed (not derived from the
 /// thread count) so that results are bit-identical for any parallelism;
-/// `4096 = 4^6` keeps single-chunk contractions (k ≤ 6) on the zero-overhead
-/// sequential path while giving enough chunks at k ≥ 8 to balance load.
+/// `4096 = 4^6` keeps contractions with k ≤ 6 to one chunk (one worker)
+/// while giving enough chunks at k ≥ 8 to balance load.
 pub const ASSIGNMENTS_PER_CHUNK: u64 = 4096;
 
 /// Base-4 digits spanned by one chunk: cut digits at positions ≥ this are
@@ -149,8 +156,7 @@ pub struct Reconstructor<'a> {
     /// session-level plan so repeated joint reconstructions skip rebuilding
     /// them.
     output_plans: Option<&'a [IndexPlan]>,
-    /// Supervision context, consulted once per contraction chunk on both
-    /// the sequential and the parallel path (see
+    /// Supervision context, consulted once per contraction chunk (see
     /// [`Reconstructor::with_supervisor`]).
     supervisor: Supervisor,
     /// Accumulated-skip L1 budget for the truncated sweep (0 = exact; see
@@ -172,13 +178,13 @@ pub struct Reconstructor<'a> {
 
 /// One chunk of a recorded budgeted sweep: which assignments the chunk
 /// contracted (as offsets into the chunk) and the stats it reported.
-/// Every chunk gets a record so replay reproduces the fresh sweep's merge
-/// sequence exactly — including chunks the constant-mask sparse test
-/// skipped outright, whose empty accumulator still merges but whose
-/// `chunk_start` hook never ran (`masked`).
+/// Every chunk gets a record, stored at its chunk index, so replay
+/// reproduces the fresh sweep's merge sequence exactly — including chunks
+/// the constant-mask sparse test skipped outright, whose empty
+/// accumulator still merges but whose `chunk_start` hook never ran
+/// (`masked`).
 #[derive(Clone, Debug)]
 struct ChunkRecord {
-    chunk: u64,
     /// Whether the constant-mask test skipped the whole chunk before
     /// `chunk_start` (replay then merges an untouched accumulator).
     masked: bool,
@@ -370,14 +376,8 @@ impl<'a> Reconstructor<'a> {
     }
 
     /// Number of fixed-size chunks the `4^k` assignment range splits into.
-    fn num_chunks(&self) -> u64 {
-        (1u64 << (2 * self.num_cuts)).div_ceil(ASSIGNMENTS_PER_CHUNK)
-    }
-
-    /// Resolved worker count for a contraction over `num_chunks` chunks
-    /// (the shared heuristic: 0 = auto, clamped to the chunk count).
-    fn effective_threads(&self, num_chunks: u64) -> usize {
-        runtime::worker_count(self.threads, num_chunks.min(usize::MAX as u64) as usize)
+    fn num_chunks(&self) -> usize {
+        (1u64 << (2 * self.num_cuts)).div_ceil(ASSIGNMENTS_PER_CHUNK) as usize
     }
 
     /// Contracts one chunk of the assignment range into `acc`, returning
@@ -393,24 +393,24 @@ impl<'a> Reconstructor<'a> {
     /// an amortized 4/3 base-4 digits, and each changed cut digit touches
     /// only the two tensor ends of that cut — instead of recomputing every
     /// tensor's composite index per assignment.
-    /// When `record` is provided (the sequential path's first budgeted
-    /// sweep), the chunk's visited offsets and stats are appended as a
-    /// [`ChunkRecord`] — unless the constant-mask test skipped the chunk
-    /// outright, which replay mirrors by having no record at all.
+    ///
+    /// With `record` set (the first budgeted sweep of a reconstructor),
+    /// the chunk's visited offsets and stats are also returned as a
+    /// [`ChunkRecord`].
     #[allow(clippy::too_many_arguments)]
     fn run_chunk<A>(
         &self,
-        chunk: u64,
+        chunk: usize,
         chunk_budget: f64,
+        record: bool,
         acc: &mut A,
-        chunk_start: &(impl Fn(&mut A, &[usize]) + Sync),
-        body: &(impl Fn(&mut A, &[usize]) + Sync),
+        chunk_start: &impl Fn(&mut A, &[usize]),
+        body: &impl Fn(&mut A, &[usize]),
         scratch: &mut SweepScratch,
-        record: Option<&mut Vec<ChunkRecord>>,
-    ) -> SweepStats {
+    ) -> (SweepStats, Option<ChunkRecord>) {
         let k = self.num_cuts;
         let total = 1u64 << (2 * k);
-        let start = chunk * ASSIGNMENTS_PER_CHUNK;
+        let start = chunk as u64 * ASSIGNMENTS_PER_CHUNK;
         let end = (start + ASSIGNMENTS_PER_CHUNK).min(total);
         let SweepScratch { indices, digits } = scratch;
         for (c, d) in digits.iter_mut().enumerate() {
@@ -433,20 +433,17 @@ impl<'a> Reconstructor<'a> {
                 .zip(indices.iter())
                 .any(|((&constant, mask), &idx)| constant && !mask.test(idx))
         {
-            if let Some(records) = record {
-                records.push(ChunkRecord {
-                    chunk,
-                    masked: true,
-                    visited: Vec::new(),
-                    stats: SweepStats::default(),
-                });
-            }
-            return SweepStats::default();
+            let masked = record.then(|| ChunkRecord {
+                masked: true,
+                visited: Vec::new(),
+                stats: SweepStats::default(),
+            });
+            return (SweepStats::default(), masked);
         }
         chunk_start(acc, indices);
         let mut stats = SweepStats::default();
         let budgeted = chunk_budget > 0.0;
-        let mut visited_offsets = record.as_ref().map(|_| Vec::new());
+        let mut visited_offsets = record.then(Vec::new);
         let mut kappa = start;
         loop {
             // Exact skip: a zero slice maximum means every term of this
@@ -510,87 +507,41 @@ impl<'a> Reconstructor<'a> {
                 }
             }
         }
-        if let (Some(records), Some(visited)) = (record, visited_offsets) {
-            records.push(ChunkRecord {
-                chunk,
-                masked: false,
-                visited,
-                stats,
-            });
-        }
-        stats
+        let record = visited_offsets.map(|visited| ChunkRecord {
+            masked: false,
+            visited,
+            stats,
+        });
+        (stats, record)
     }
 
-    /// The chunked contraction driver: runs `body` over every surviving
-    /// assignment, accumulating into per-chunk accumulators created by
-    /// `init` and merged in chunk order by `merge`. Returns the final
-    /// accumulator and the sweep's [`SweepStats`].
+    /// The chunked contraction: runs `body` over every surviving
+    /// assignment of the `4^k` range, one fixed chunk at a time on
+    /// [`runtime::run_chunks`], and returns the merged accumulator with
+    /// the sweep's [`SweepStats`].
     ///
-    /// The sequential path (one worker) uses the identical chunk/merge
-    /// structure, so results are bit-identical regardless of thread count.
-    fn run_contraction<A: Send>(
-        &self,
-        init: impl Fn() -> A + Sync,
-        body: impl Fn(&mut A, &[usize]) + Sync,
-        merge: impl FnMut(&mut A, A) + Send,
-    ) -> Result<(A, SweepStats), Fault> {
-        self.run_contraction_full(init, |_, _| {}, body, |_| {}, merge)
-    }
-
-    /// [`Reconstructor::run_contraction`] with a chunk-start hook: called
-    /// once per chunk, after the chunk's first assignment indices are in
-    /// place and before any `body` call, on both the sequential and the
-    /// parallel path. Accumulators use it to precompute values that are
-    /// constant within the chunk (the constant prefix/suffix product
-    /// hoists of the marginal sweeps) without changing any per-assignment
-    /// float association — results stay bit-identical.
-    fn run_contraction_hoisted<A: Send>(
-        &self,
-        init: impl Fn() -> A + Sync,
-        chunk_start: impl Fn(&mut A, &[usize]) + Sync,
-        body: impl Fn(&mut A, &[usize]) + Sync,
-        merge: impl FnMut(&mut A, A) + Send,
-    ) -> Result<(A, SweepStats), Fault> {
-        self.run_contraction_full(init, chunk_start, body, |_| {}, merge)
-    }
-
-    /// [`Reconstructor::run_contraction`] with a per-chunk `finish` hook:
-    /// runs on each chunk accumulator right after its chunk completes (on
-    /// both paths) — the hook that lets accumulators drop per-chunk
-    /// scratch before entering the ordered merge. Used by queries whose
-    /// per-chunk accumulators are large; the streaming merge bounds how
-    /// many of them are ever retained (see
-    /// [`run_contraction_full`](Reconstructor::run_contraction_full)), so
-    /// no worker cap is needed any more.
-    fn run_contraction_finished<A: Send>(
-        &self,
-        init: impl Fn() -> A + Sync,
-        body: impl Fn(&mut A, &[usize]) + Sync,
-        finish: impl Fn(&mut A) + Sync,
-        merge: impl FnMut(&mut A, A) + Send,
-    ) -> Result<(A, SweepStats), Fault> {
-        self.run_contraction_full(init, |_, _| {}, body, finish, merge)
-    }
-
-    /// The fully-general chunked contraction driver: chunk-start hook,
-    /// per-chunk finish hook, streaming ordered merge on the persistent
-    /// worker pool.
-    ///
-    /// The parallel path streams finished chunk accumulators into one
-    /// central [`runtime::OrderedMerger`] that folds them **in chunk
-    /// order** — the identical float association to the sequential loop —
-    /// while retaining at most a merge-window's worth of accumulators at
-    /// a time, so memory no longer scales with `num_chunks ×
-    /// accumulator size` and no query needs a worker cap.
+    /// Each chunk contracts into a fresh accumulator from `init`:
+    /// `chunk_start` runs once, after the chunk's first assignment
+    /// indices are in place and before any `body` call (accumulators
+    /// hoist values constant within the chunk there without changing any
+    /// per-assignment float association); `finish` runs when the chunk
+    /// completes (accumulators drop scratch there before waiting in the
+    /// merge); `merge` folds chunk accumulators **in chunk order**, so
+    /// results are bit-identical for any thread count. Constant-mask
+    /// skipped chunks still init, finish and merge, but never reach
+    /// `chunk_start`.
     ///
     /// The attached [`Supervisor`] is consulted once per chunk, before the
-    /// chunk's sweep. On an interrupt the driver reports the fault of the
-    /// *lowest-indexed* faulting chunk: the parallel path records faults
-    /// under a monotone failure floor (`fetch_min` over chunk indices), so
-    /// a chunk below the true minimum faulting index can never be skipped
-    /// and the reported fault is schedule-independent for deterministic
+    /// chunk's sweep; the fault of the lowest-indexed faulting chunk is
+    /// reported, identically for any thread count, for deterministic
     /// fault sources (injection, pre-set cancellation).
-    fn run_contraction_full<A: Send>(
+    ///
+    /// The first budgeted sweep of a reconstructor records every chunk's
+    /// visited set (the records ride the ordered merge, so recording
+    /// works at any thread count); later budgeted sweeps replay the
+    /// records body-only instead of re-walking the `4^k` range, with the
+    /// identical call sequence per chunk.
+    fn contract<A: Send>(
         &self,
         init: impl Fn() -> A + Sync,
         chunk_start: impl Fn(&mut A, &[usize]) + Sync,
@@ -599,7 +550,6 @@ impl<'a> Reconstructor<'a> {
         mut merge: impl FnMut(&mut A, A) + Send,
     ) -> Result<(A, SweepStats), Fault> {
         let num_chunks = self.num_chunks();
-        let threads = self.effective_threads(num_chunks);
         // Each chunk gets an even, fixed share of the error budget; the
         // share depends only on `k` and the budget, never on the worker
         // count, which is what keeps truncated results bit-identical for
@@ -609,203 +559,96 @@ impl<'a> Reconstructor<'a> {
         } else {
             0.0
         };
-        let new_scratch = || SweepScratch {
-            indices: vec![0usize; self.tensors.len()],
-            digits: vec![0u8; self.num_cuts],
-        };
-        let acc = init();
-        if threads <= 1 {
-            let mut acc = acc;
-            let mut stats = SweepStats::default();
-            let mut scratch = new_scratch();
-            if chunk_budget > 0.0 {
-                // Replay a previously recorded budgeted sweep: body-only,
-                // no `4^k` re-iteration. The recorded call sequence is
-                // exactly the fresh sweep's, so results are bit-identical.
-                if let Some(Some(records)) = self.skip_cache.get() {
-                    return self.replay_records(
-                        records,
-                        acc,
-                        init,
-                        chunk_start,
-                        body,
-                        finish,
-                        merge,
-                    );
-                }
-            }
-            // Record the visited set on the first budgeted sweep so later
-            // queries of this reconstructor can replay it.
-            let mut records = if chunk_budget > 0.0 && self.skip_cache.get().is_none() {
-                Some(Vec::new())
-            } else {
-                None
-            };
-            for chunk in 0..num_chunks {
-                self.supervisor.check(Stage::Recombine, chunk as usize)?;
-                let mut chunk_acc = init();
-                stats.absorb(self.run_chunk(
-                    chunk,
-                    chunk_budget,
-                    &mut chunk_acc,
-                    &chunk_start,
-                    &body,
-                    &mut scratch,
-                    records.as_mut(),
-                ));
-                finish(&mut chunk_acc);
-                merge(&mut acc, chunk_acc);
-            }
-            if let Some(records) = records {
-                let total: usize = records.iter().map(|r| r.visited.len()).sum();
-                let _ = self
-                    .skip_cache
-                    .set((total <= SKIP_CACHE_MAX_VISITED).then_some(records));
-            }
-            Ok((acc, stats))
-        } else {
-            let next = AtomicU64::new(0);
-            // Lowest chunk index that hit a supervision fault; chunks above
-            // the floor are skipped, chunks at or below it still run, so
-            // the floor only ever tightens toward the true minimum.
-            let fail_floor = AtomicU64::new(u64::MAX);
-            let first_fault: Mutex<Option<(u64, Fault)>> = Mutex::new(None);
-            // The chunk stats ride the ordered merge alongside the chunk
-            // accumulators, so the float `skipped_bound` folds in strict
-            // chunk order — an atomic counter would make the truncation
-            // bound schedule-dependent.
-            let mut merge_with_stats = |central: &mut (A, SweepStats), chunk: (A, SweepStats)| {
-                merge(&mut central.0, chunk.0);
-                central.1.absorb(chunk.1);
-            };
-            let merger = runtime::OrderedMerger::new(
-                threads,
-                (acc, SweepStats::default()),
-                &mut merge_with_stats,
-            );
-            enum ChunkOutcome<A> {
-                Done(A, SweepStats),
-                Fault(Fault),
-            }
-            runtime::Pool::global().run(threads, |_| {
-                let mut scratch = new_scratch();
-                loop {
-                    let chunk = next.fetch_add(1, Ordering::Relaxed);
-                    if chunk >= num_chunks {
-                        break;
+        // A budgeted sweep replays the cached records, or records them
+        // while the cache is cold (a cached `None` was too large to keep).
+        let budgeted = chunk_budget > 0.0;
+        let cached = self.skip_cache.get();
+        let replay = cached.and_then(Option::as_deref).filter(|_| budgeted);
+        let record = budgeted && cached.is_none();
+        let (acc, stats, records) = runtime::run_chunks(
+            self.threads,
+            num_chunks,
+            || SweepScratch {
+                indices: vec![0usize; self.tensors.len()],
+                digits: vec![0u8; self.num_cuts],
+            },
+            |chunk, scratch| {
+                self.supervisor.check(Stage::Recombine, chunk)?;
+                let mut acc = init();
+                let (stats, record) = match replay {
+                    Some(records) => {
+                        let rec = &records[chunk];
+                        self.replay_chunk(chunk, rec, &mut acc, &chunk_start, &body, scratch);
+                        (rec.stats, None)
                     }
-                    if chunk > fail_floor.load(Ordering::Relaxed) {
-                        // Skipped by the early exit: the claimed index
-                        // still must be resolved so the ordered merge can
-                        // drain past it. Claims from `next` are monotone,
-                        // so every later claim sits above the floor too —
-                        // stop this worker here.
-                        merger.skip(chunk);
-                        break;
-                    }
-                    // Everything that can fault *or panic* (injected
-                    // faults fire inside the supervisor check) runs under
-                    // `catch_unwind` so the claimed index is resolved
-                    // before any unwind — sibling workers blocked on the
-                    // merge window must never be stranded.
-                    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        if let Err(fault) = self.supervisor.check(Stage::Recombine, chunk as usize)
-                        {
-                            return ChunkOutcome::Fault(fault);
-                        }
-                        let mut chunk_acc = init();
-                        let stats = self.run_chunk(
-                            chunk,
-                            chunk_budget,
-                            &mut chunk_acc,
-                            &chunk_start,
-                            &body,
-                            &mut scratch,
-                            None,
-                        );
-                        finish(&mut chunk_acc);
-                        ChunkOutcome::Done(chunk_acc, stats)
-                    }));
-                    match outcome {
-                        Ok(ChunkOutcome::Done(chunk_acc, stats)) => {
-                            merger.submit(chunk, (chunk_acc, stats));
-                        }
-                        Ok(ChunkOutcome::Fault(fault)) => {
-                            fail_floor.fetch_min(chunk, Ordering::Relaxed);
-                            let mut slot = lock_or_recover(&first_fault);
-                            if slot.as_ref().is_none_or(|(c, _)| chunk < *c) {
-                                *slot = Some((chunk, fault));
-                            }
-                            merger.skip(chunk);
-                            break;
-                        }
-                        Err(payload) => {
-                            merger.skip(chunk);
-                            // The pool re-raises the payload on the
-                            // calling thread once the job completes.
-                            std::panic::resume_unwind(payload);
-                        }
-                    }
-                }
-            });
-            if let Some((_, fault)) = into_inner_or_recover(first_fault) {
-                return Err(fault);
-            }
-            Ok(merger.finish())
-        }
-    }
-
-    /// Replays a recorded budgeted sweep: the identical chunk-start /
-    /// body / finish / merge call sequence as the recording run — same
-    /// chunks (constant-mask-skipped ones carry no record and stay
-    /// skipped), same assignments, same order, so every float folds
-    /// identically — but touching only the recorded assignments instead
-    /// of walking the full `4^k` range. Supervision checkpoints still run
-    /// per replayed chunk, under the chunk's original index.
-    #[allow(clippy::too_many_arguments)]
-    fn replay_records<A>(
-        &self,
-        records: &[ChunkRecord],
-        mut acc: A,
-        init: impl Fn() -> A,
-        chunk_start: impl Fn(&mut A, &[usize]),
-        body: impl Fn(&mut A, &[usize]),
-        finish: impl Fn(&mut A),
-        mut merge: impl FnMut(&mut A, A),
-    ) -> Result<(A, SweepStats), Fault> {
-        let mut stats = SweepStats::default();
-        let mut indices = vec![0usize; self.tensors.len()];
-        for rec in records {
-            self.supervisor
-                .check(Stage::Recombine, rec.chunk as usize)?;
-            let mut chunk_acc = init();
-            if !rec.masked {
-                let start = rec.chunk * ASSIGNMENTS_PER_CHUNK;
-                for (fi, t) in self.tensors.iter().enumerate() {
-                    indices[fi] = t.pauli_index(|c| ((start >> (2 * c)) & 0b11) as usize);
-                }
-                chunk_start(&mut chunk_acc, &indices);
-                for &offset in &rec.visited {
-                    let kappa = start + offset as u64;
-                    for (fi, t) in self.tensors.iter().enumerate() {
-                        indices[fi] = t.pauli_index(|c| ((kappa >> (2 * c)) & 0b11) as usize);
-                    }
-                    body(&mut chunk_acc, &indices);
-                }
-            }
-            finish(&mut chunk_acc);
-            merge(&mut acc, chunk_acc);
-            stats.absorb(rec.stats);
+                    None => self.run_chunk(
+                        chunk,
+                        chunk_budget,
+                        record,
+                        &mut acc,
+                        &chunk_start,
+                        &body,
+                        scratch,
+                    ),
+                };
+                finish(&mut acc);
+                Ok((acc, stats, record))
+            },
+            (init(), SweepStats::default(), Vec::new()),
+            |(acc, stats, records): &mut (A, SweepStats, Vec<ChunkRecord>),
+             (chunk_acc, chunk_stats, record)| {
+                merge(acc, chunk_acc);
+                // The float `skipped_bound` folds in chunk order too.
+                stats.absorb(chunk_stats);
+                records.extend(record);
+            },
+        )?;
+        if record {
+            let total: usize = records.iter().map(|r| r.visited.len()).sum();
+            let _ = self
+                .skip_cache
+                .set((total <= SKIP_CACHE_MAX_VISITED).then_some(records));
         }
         Ok((acc, stats))
+    }
+
+    /// Replays one chunk of a recorded budgeted sweep: the recording
+    /// run's chunk-start and body calls, in the same order, over only the
+    /// recorded assignments (a constant-mask skipped chunk replays none).
+    fn replay_chunk<A>(
+        &self,
+        chunk: usize,
+        rec: &ChunkRecord,
+        acc: &mut A,
+        chunk_start: &impl Fn(&mut A, &[usize]),
+        body: &impl Fn(&mut A, &[usize]),
+        scratch: &mut SweepScratch,
+    ) {
+        if rec.masked {
+            return;
+        }
+        let indices = &mut scratch.indices;
+        let start = chunk as u64 * ASSIGNMENTS_PER_CHUNK;
+        for (fi, t) in self.tensors.iter().enumerate() {
+            indices[fi] = t.pauli_index(|c| ((start >> (2 * c)) & 0b11) as usize);
+        }
+        chunk_start(acc, indices);
+        for &offset in &rec.visited {
+            let kappa = start + offset as u64;
+            for (fi, t) in self.tensors.iter().enumerate() {
+                indices[fi] = t.pauli_index(|c| ((kappa >> (2 * c)) & 0b11) as usize);
+            }
+            body(acc, indices);
+        }
     }
 
     /// Total reconstructed probability mass `Σ_b p(b)`; 1 up to sampling
     /// error.
     pub fn total_mass(&self) -> f64 {
         let totals: Vec<&[f64]> = self.tensors.iter().map(|t| t.totals()).collect();
-        let (mass, _) = expect_unsupervised(self.run_contraction(
+        let (mass, _) = expect_unsupervised(self.contract(
             || 0.0f64,
+            |_, _| {},
             |mass, indices| {
                 let mut prod = 1.0;
                 for (t, &idx) in totals.iter().zip(indices) {
@@ -813,6 +656,7 @@ impl<'a> Reconstructor<'a> {
                 }
                 *mass += prod;
             },
+            |_| {},
             |mass, chunk| *mass += chunk,
         ));
         mass
@@ -920,19 +764,18 @@ impl<'a> Reconstructor<'a> {
             partial: Vec<(usize, f64)>,
             next: Vec<(usize, f64)>,
         }
-        // The streaming ordered merge retains at most a merge-window's
-        // worth of chunk accumulators (window = worker count), not all
-        // `num_chunks` of them — so the old 64 MiB retention budget, and
-        // the sequential fallback it forced on large supports, are gone:
-        // every support size runs parallel. Merge order is still strict
-        // chunk order, so results stay bit-identical for any thread count.
-        let (acc, stats) = self.run_contraction_finished(
+        // The ordered merge retains at most one chunk accumulator per
+        // worker, not all `num_chunks` of them, so every support size runs
+        // parallel. Merge order is strict chunk order, so results stay
+        // bit-identical for any thread count.
+        let (acc, stats) = self.contract(
             || JointAcc {
                 weights: vec![0.0; support],
                 touched: vec![0u64; support.div_ceil(64)],
                 partial: Vec::new(),
                 next: Vec::new(),
             },
+            |_, _| {},
             |acc, indices| {
                 // Outer product of the fragments' b-slices, propagating
                 // mixed-radix outcome ids.
@@ -1038,7 +881,7 @@ impl<'a> Reconstructor<'a> {
         // that would be large (one wide fragment means few fragments, so
         // the direct inner loop is short anyway).
         let weight_len: usize = self.tensors.iter().map(|t| t.pauli_dim()).sum();
-        let grouped_bytes = (weight_len as u64) * self.num_chunks() * 8;
+        let grouped_bytes = (weight_len as u64) * self.num_chunks() as u64 * 8;
         let (mut marg, mass, stats) = if grouped_bytes <= 64 << 20 {
             self.marginals_grouped()?
         } else {
@@ -1078,7 +921,7 @@ impl<'a> Reconstructor<'a> {
         }
         let totals: Vec<&[f64]> = self.tensors.iter().map(|t| t.totals()).collect();
         let (cp, cs) = (self.const_prefix, self.const_suffix);
-        let (acc, stats) = self.run_contraction_hoisted(
+        let (acc, stats) = self.contract(
             || GroupedAcc {
                 weights: totals.iter().map(|t| vec![0.0f64; t.len()]).collect(),
                 mass: 0.0,
@@ -1114,6 +957,7 @@ impl<'a> Reconstructor<'a> {
                     acc.weights[f][indices[f]] += acc.prefix[f] * acc.suffix[f + 1];
                 }
             },
+            |_| {},
             |acc, chunk| {
                 for (w, c) in acc.weights.iter_mut().zip(&chunk.weights) {
                     for (a, b) in w.iter_mut().zip(c) {
@@ -1170,7 +1014,7 @@ impl<'a> Reconstructor<'a> {
             })
             .collect();
         let (cp, cs) = (self.const_prefix, self.const_suffix);
-        let (acc, stats) = self.run_contraction_hoisted(
+        let (acc, stats) = self.contract(
             || DirectAcc {
                 marg: vec![[0.0f64; 2]; self.n_qubits],
                 mass: 0.0,
@@ -1208,6 +1052,7 @@ impl<'a> Reconstructor<'a> {
                     }
                 }
             },
+            |_| {},
             |acc, chunk| {
                 for (m, c) in acc.marg.iter_mut().zip(&chunk.marg) {
                     m[0] += c[0];
@@ -1240,8 +1085,9 @@ impl<'a> Reconstructor<'a> {
                 None => return 0.0,
             }
         }
-        let (p, _) = expect_unsupervised(self.run_contraction(
+        let (p, _) = expect_unsupervised(self.contract(
             || 0.0f64,
+            |_, _| {},
             |p, indices| {
                 let mut prod = 1.0;
                 for (s, &idx) in slices.iter().zip(indices) {
@@ -1252,6 +1098,7 @@ impl<'a> Reconstructor<'a> {
                 }
                 *p += prod;
             },
+            |_| {},
             |p, chunk| *p += chunk,
         ));
         p
@@ -1270,7 +1117,8 @@ impl<'a> Reconstructor<'a> {
     /// incur (skip decisions are query-independent). Cheap relative to a
     /// real query: no accumulator work, just the sweep itself.
     pub fn sweep_stats(&self) -> SweepStats {
-        let ((), stats) = expect_unsupervised(self.run_contraction(|| (), |_, _| {}, |_, _| {}));
+        let ((), stats) =
+            expect_unsupervised(self.contract(|| (), |_, _| {}, |_, _| {}, |_| {}, |_, _| {}));
         stats
     }
 
@@ -1321,8 +1169,9 @@ impl<'a> Reconstructor<'a> {
             })
             .collect();
         let totals: Vec<&[f64]> = self.tensors.iter().map(|t| t.totals()).collect();
-        let ((num, mass), _) = expect_unsupervised(self.run_contraction(
+        let ((num, mass), _) = expect_unsupervised(self.contract(
             || (0.0f64, 0.0f64),
+            |_, _| {},
             |acc, indices| {
                 let mut sprod = 1.0;
                 let mut tprod = 1.0;
@@ -1333,6 +1182,7 @@ impl<'a> Reconstructor<'a> {
                 acc.0 += sprod;
                 acc.1 += tprod;
             },
+            |_| {},
             |acc, chunk| {
                 acc.0 += chunk.0;
                 acc.1 += chunk.1;
@@ -1627,9 +1477,9 @@ mod tests {
         d.iter().map(|(b, p)| (b.clone(), p)).collect()
     }
 
-    /// All four query shapes are bit-identical between the sequential path
-    /// and the parallel path at 2 and 8 threads — on a real cut circuit
-    /// and on a synthetic k = 8 chain that spans 16 chunks.
+    /// All four query shapes are bit-identical between one thread and 2
+    /// and 8 threads — on a real cut circuit and on a synthetic k = 8
+    /// chain that spans 16 chunks.
     #[test]
     fn parallel_contraction_bit_identical_across_thread_counts() {
         // Real circuit: mixed Clifford / non-Clifford fragments.
@@ -1881,10 +1731,11 @@ mod tests {
         }
     }
 
-    /// The first budgeted sequential sweep records its visited set; every
-    /// later query replays it bit for bit, answers other query shapes
-    /// identically to a fresh sweep, and the cache is dropped by the
-    /// setters that change the skip set.
+    /// The first budgeted sweep records its visited set at any thread
+    /// count; every later query replays it bit for bit, answers other
+    /// query shapes identically to a fresh sweep, matches the one-thread
+    /// results, and the cache is dropped by the setters that change the
+    /// skip set.
     #[test]
     fn budgeted_replay_cache_is_bit_identical_across_queries() {
         let k = 7;
@@ -1894,23 +1745,41 @@ mod tests {
             .sweep_stats()
             .skipped_bound;
         let budget = total_bound * 0.25;
+        let mut reference = None;
+        for threads in [1usize, 2, 8] {
+            let r = Reconstructor::new(&tensors, k, n)
+                .with_error_budget(budget)
+                .with_threads(threads);
+            assert!(r.skip_cache.get().is_none(), "cache starts cold");
+            let (first, first_stats) = r.try_joint_with_stats(10_000_000).unwrap();
+            assert!(
+                matches!(r.skip_cache.get(), Some(Some(_))),
+                "first budgeted sweep must record the visited set at {threads} threads"
+            );
+            let (second, second_stats) = r.try_joint_with_stats(10_000_000).unwrap();
+            assert_eq!(
+                joint_pairs(&first),
+                joint_pairs(&second),
+                "{threads} threads"
+            );
+            assert_eq!(first_stats, second_stats, "{threads} threads");
+            // Replay answers a different query shape identically to a
+            // fresh reconstructor's first (recorded) sweep.
+            let fresh = Reconstructor::new(&tensors, k, n)
+                .with_error_budget(budget)
+                .with_threads(threads);
+            let (fresh_marg, fresh_stats) = fresh.try_marginals_with_stats().unwrap();
+            let (replay_marg, replay_stats) = r.try_marginals_with_stats().unwrap();
+            assert_eq!(fresh_marg, replay_marg, "{threads} threads");
+            assert_eq!(fresh_stats, replay_stats, "{threads} threads");
+            let results = (joint_pairs(&second), second_stats, replay_marg);
+            match &reference {
+                None => reference = Some(results),
+                Some(one_thread) => assert_eq!(one_thread, &results, "{threads} threads"),
+            }
+        }
         let r = Reconstructor::new(&tensors, k, n).with_error_budget(budget);
-        assert!(r.skip_cache.get().is_none(), "cache starts cold");
-        let (first, first_stats) = r.try_joint_with_stats(10_000_000).unwrap();
-        assert!(
-            matches!(r.skip_cache.get(), Some(Some(_))),
-            "first budgeted sweep must record the visited set"
-        );
-        let (second, second_stats) = r.try_joint_with_stats(10_000_000).unwrap();
-        assert_eq!(joint_pairs(&first), joint_pairs(&second));
-        assert_eq!(first_stats, second_stats);
-        // Replay answers a different query shape identically to a fresh
-        // reconstructor's first (recorded) sweep.
-        let fresh = Reconstructor::new(&tensors, k, n).with_error_budget(budget);
-        let (fresh_marg, fresh_stats) = fresh.try_marginals_with_stats().unwrap();
-        let (replay_marg, replay_stats) = r.try_marginals_with_stats().unwrap();
-        assert_eq!(fresh_marg, replay_marg);
-        assert_eq!(fresh_stats, replay_stats);
+        let _ = r.try_joint_with_stats(10_000_000).unwrap();
         // Exact queries never populate the cache.
         let exact = Reconstructor::new(&tensors, k, n);
         let _ = exact.try_joint_with_stats(10_000_000).unwrap();

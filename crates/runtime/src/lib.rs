@@ -1,30 +1,21 @@
-//! Persistent worker pool and shared parallel-execution substrate.
+//! Persistent worker pool and the one chunk driver every pooled stage
+//! runs on.
 //!
-//! Before this crate existed, parallelism was re-implemented four times
-//! across the workspace — `cutkit::tensor`, `cutkit::mlft`,
-//! `cutkit::recombine`, and the batch scheduler in `supersim` each owned a
-//! `std::thread::scope` plus a spawn loop, and every `run_batch` /
-//! `run_sweep` call paid the full thread-spawn cost again. This crate
-//! replaces all of them with one **persistent, lazily-grown pool**
-//! ([`Pool`]) plus the small set of primitives those sites actually
-//! shared:
+//! The crate has three public pieces:
 //!
-//! - [`Pool::run`] — the `thread::scope` replacement: executes a body
-//!   closure once per worker index on pooled threads and blocks until all
-//!   of them finish, propagating the first panic exactly like a scoped
-//!   spawn would.
-//! - [`TaskQueue`] / [`Pool::run_queue`] — the injectable task-source
-//!   abstraction: a pool does not know *what* it is draining, call sites
-//!   plug in an atomic counter ([`CounterQueue`]), the batch scheduler's
-//!   dependency-driven FIFO, or anything else that hands out tasks.
-//! - [`OrderedMerger`] — streaming, strictly index-ordered reduction:
-//!   workers submit per-chunk results as they finish and a single central
-//!   accumulator merges them **in chunk order**, so float association is
-//!   identical to a sequential run while peak retention stays bounded by
-//!   the merge window instead of the whole chunk set.
+//! - [`Pool`] — a persistent, lazily-grown set of worker threads.
+//!   [`Pool::run`] executes a body closure once per worker index and
+//!   blocks until all of them finish, re-raising the first panic on the
+//!   caller like a scoped spawn would. The batch scheduler drives its
+//!   per-job task graph with it directly.
+//! - [`run_chunks`] — the chunk driver behind fragment evaluation, MLFT
+//!   correction, the `4^k` recombination sweep and batch planning. Work
+//!   is split into a fixed number of chunks that does not depend on the
+//!   worker count; workers claim chunks in index order, the earliest
+//!   failing chunk wins, panics are resolved before they unwind, and
+//!   results merge in chunk order.
 //! - [`worker_count`] — the one thread-count heuristic (request → env
-//!   override → hardware default → cap clamp) that was previously
-//!   copy-pasted at every spawn site.
+//!   override → hardware default → clamp to the number of work items).
 //!
 //! # Ownership and lifecycle
 //!
@@ -34,40 +25,37 @@
 //! workers (nested `run` calls — e.g. a recombination running inside a
 //! batch task — therefore still get real parallelism), and **never shrinks
 //! or re-spawns**: consecutive `run_batch` calls reuse the same live
-//! threads, which is the point. Idle workers park on a condition variable
-//! and cost nothing but their stacks. Locally constructed pools
-//! ([`Pool::new`], used by tests) shut their workers down on drop.
+//! threads. Idle workers park on a condition variable and cost nothing but
+//! their stacks. Locally constructed pools ([`Pool::new`], used by tests)
+//! shut their workers down on drop.
 //!
 //! The **caller participates**: `Pool::run(n, body)` claims worker
 //! indices for its own job on the calling thread too, so a job can never
 //! deadlock waiting for pool capacity — with zero idle workers the caller
-//! simply runs every index itself (and `n == 1` never touches the pool at
-//! all, keeping the sequential paths allocation-free). The calling thread
-//! only blocks once all indices are claimed, waiting for the stragglers
-//! it did not run itself.
+//! simply runs every index itself, and `n == 1` runs inline without
+//! touching the pool at all. That is why [`run_chunks`] needs no separate
+//! sequential path: at one worker the same claim loop runs on the caller.
 //!
 //! # Supervisor integration and panic safety
 //!
-//! The pool is deliberately supervision-agnostic: `faultkit::Supervisor`
-//! checkpoints (cancellation, deadlines, fault injection) live inside the
-//! task bodies exactly as they did under `thread::scope`, and flow through
-//! unchanged. What the pool does guarantee is containment: each claimed
-//! index runs under `catch_unwind`, the first panic payload is re-raised
-//! on the *calling* thread once the job completes (matching scoped-spawn
-//! semantics), and pool threads never die from a task panic — a panicking
-//! fault-injection run leaves the pool as healthy as a clean one. Because
-//! unwinding still runs drop glue with `std::thread::panicking()` true,
-//! abort-on-panic guards inside task bodies (the batch scheduler's
-//! poison-containment) keep working on pooled threads. All internal locks
-//! use `faultkit`'s poison-recovering accessors.
+//! The pool is supervision-agnostic: `faultkit::Supervisor` checkpoints
+//! (cancellation, deadlines, fault injection) live inside the chunk
+//! bodies. What the crate guarantees is containment: every index runs
+//! under `catch_unwind`, the panic is re-raised on the *calling* thread
+//! once the job completes, and pool threads never die from a task panic —
+//! a panicking fault-injection run leaves the pool as healthy as a clean
+//! one. Because unwinding still runs drop glue with
+//! `std::thread::panicking()` true, abort-on-panic guards inside task
+//! bodies (the batch scheduler's poison containment) keep working on
+//! pooled threads. All internal locks use `faultkit`'s poison-recovering
+//! accessors.
 //!
 //! # Bit-identity
 //!
-//! Nothing in this crate makes scheduling observable to results: work
-//! decomposition stays a pure function of the job at every call site, and
-//! [`OrderedMerger`] commits merges in strict index order from a single
-//! accumulator, so outputs are bit-identical for every pool size —
-//! including `n = 1`, which bypasses the pool entirely.
+//! Scheduling never reaches results: chunk decomposition is a pure
+//! function of the job, and [`run_chunks`] applies merges from a single
+//! accumulator in strict chunk order, so outputs — and the reported
+//! error — are identical for every worker count, including one.
 
 use std::any::Any;
 use std::collections::VecDeque;
@@ -115,52 +103,6 @@ fn resolve_default(env: Option<&str>, fallback: impl FnOnce() -> usize) -> usize
     env.and_then(|s| s.trim().parse::<usize>().ok())
         .filter(|&n| n > 0)
         .unwrap_or_else(fallback)
-}
-
-// ---------------------------------------------------------------------------
-// Task-queue abstraction
-// ---------------------------------------------------------------------------
-
-/// An injectable source of tasks for [`Pool::run_queue`]: anything that
-/// can hand out "the next task, if any" to concurrent workers.
-///
-/// Implementations decide the scheduling policy (an atomic counter, a
-/// blocking dependency-driven FIFO, work stealing…); the pool only drains.
-/// `next` returning `None` tells the asking worker to stop — it is not
-/// required to be permanent for *other* workers, which lets blocking
-/// queues wake workers selectively.
-pub trait TaskQueue: Sync {
-    /// The task type handed to workers.
-    type Task;
-    /// Claims the next task, or `None` when this worker should exit.
-    fn next(&self) -> Option<Self::Task>;
-}
-
-/// The simplest [`TaskQueue`]: hands out `0..len` exactly once, in claim
-/// order. This is the classic atomic-counter claim loop shared by the
-/// plan-building and fragment-correction sites.
-pub struct CounterQueue {
-    next: AtomicUsize,
-    len: usize,
-}
-
-impl CounterQueue {
-    /// A queue over the index range `0..len`.
-    pub fn new(len: usize) -> CounterQueue {
-        CounterQueue {
-            next: AtomicUsize::new(0),
-            len,
-        }
-    }
-}
-
-impl TaskQueue for CounterQueue {
-    type Task = usize;
-
-    fn next(&self) -> Option<usize> {
-        let i = self.next.fetch_add(1, Ordering::Relaxed);
-        (i < self.len).then_some(i)
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -390,21 +332,6 @@ impl Pool {
         }
     }
 
-    /// Drains `queue` with `workers` concurrent workers, calling
-    /// `handler(worker_index, task)` for every task — [`Pool::run`] with
-    /// the claim loop factored behind the [`TaskQueue`] abstraction.
-    pub fn run_queue<Q, F>(&self, workers: usize, queue: &Q, handler: F)
-    where
-        Q: TaskQueue,
-        F: Fn(usize, Q::Task) + Sync,
-    {
-        self.run(workers, |w| {
-            while let Some(task) = queue.next() {
-                handler(w, task);
-            }
-        });
-    }
-
     fn spawn_worker(&self) {
         let shared = Arc::clone(&self.shared);
         let id = self.shared.spawned_total.fetch_add(1, Ordering::Relaxed);
@@ -475,6 +402,103 @@ fn worker_loop(shared: Arc<Shared>) {
 }
 
 // ---------------------------------------------------------------------------
+// The chunk driver
+// ---------------------------------------------------------------------------
+
+/// Why a chunk stopped the run: its error, or the panic to re-raise.
+enum Failure<E> {
+    Error(E),
+    Panic(Box<dyn Any + Send>),
+}
+
+/// Runs `work(chunk, scratch)` for every chunk in `0..num_chunks` on up to
+/// `threads` pooled workers (resolved by [`worker_count`], so `0` means
+/// auto) and folds the results into `acc` with `merge`, **in chunk
+/// order**. Each worker builds one `scratch` and reuses it for every chunk
+/// it claims.
+///
+/// The result is a pure function of the chunk decomposition, identical
+/// for every worker count:
+///
+/// - workers claim chunks in ascending index order from one counter;
+/// - the first failure in chunk order wins — a failing chunk lowers a
+///   shared floor, chunks above the floor are skipped, chunks below it
+///   still run, so the earliest failing chunk is always reached;
+/// - a panicking chunk is a failure like an error: its index is resolved
+///   first (no sibling is left waiting on the merge), and the panic is
+///   re-raised on the caller only if no earlier chunk failed;
+/// - merges are applied from one accumulator in strict chunk order, with
+///   at most `workers` chunk results retained at a time.
+///
+/// One worker runs every chunk inline on the calling thread (see
+/// [`Pool::run`]) through this same code.
+///
+/// # Errors
+///
+/// Returns the error of the earliest failing chunk; `acc` is dropped.
+///
+/// # Panics
+///
+/// Re-raises the panic of the earliest failing chunk when that chunk
+/// panicked rather than returned an error.
+pub fn run_chunks<S, T, A, E>(
+    threads: usize,
+    num_chunks: usize,
+    scratch: impl Fn() -> S + Sync,
+    work: impl Fn(usize, &mut S) -> Result<T, E> + Sync,
+    acc: A,
+    merge: impl FnMut(&mut A, T) + Send,
+) -> Result<A, E>
+where
+    T: Send,
+    A: Send,
+    E: Send,
+{
+    let workers = worker_count(threads, num_chunks);
+    let next = AtomicUsize::new(0);
+    let floor = AtomicUsize::new(usize::MAX);
+    let failure: Mutex<Option<(usize, Failure<E>)>> = Mutex::new(None);
+    let merger = OrderedMerger::new(workers, acc, merge);
+    Pool::global().run(workers, |_| {
+        let mut scratch = scratch();
+        loop {
+            let chunk = next.fetch_add(1, Ordering::Relaxed);
+            if chunk >= num_chunks {
+                break;
+            }
+            if chunk > floor.load(Ordering::Relaxed) {
+                // Claims only grow and the floor only falls, so every
+                // later claim of this worker would be skipped too.
+                merger.skip(chunk);
+                break;
+            }
+            let failed = match catch_unwind(AssertUnwindSafe(|| work(chunk, &mut scratch))) {
+                Ok(Ok(item)) => {
+                    merger.submit(chunk, item);
+                    continue;
+                }
+                Ok(Err(e)) => Failure::Error(e),
+                Err(payload) => Failure::Panic(payload),
+            };
+            floor.fetch_min(chunk, Ordering::Relaxed);
+            {
+                let mut slot = lock_or_recover(&failure);
+                if slot.as_ref().is_none_or(|(c, _)| chunk < *c) {
+                    *slot = Some((chunk, failed));
+                }
+            }
+            merger.skip(chunk);
+            break;
+        }
+    });
+    match into_inner_or_recover(failure) {
+        None => Ok(merger.finish()),
+        Some((_, Failure::Error(e))) => Err(e),
+        Some((_, Failure::Panic(payload))) => resume_unwind(payload),
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Streaming ordered merge
 // ---------------------------------------------------------------------------
 
@@ -496,14 +520,14 @@ fn worker_loop(shared: Arc<Shared>) {
 /// long as claimed indices are each resolved by their claimant: the
 /// holder of the smallest unresolved index is never blocked, and its
 /// submission advances the head.
-pub struct OrderedMerger<T, A, F: FnMut(&mut A, T)> {
+struct OrderedMerger<T, A, F: FnMut(&mut A, T)> {
     inner: Mutex<MergeState<T, A, F>>,
     space: Condvar,
 }
 
 struct MergeState<T, A, F> {
-    head: u64,
-    window: u64,
+    head: usize,
+    window: usize,
     /// Ring buffer indexed by `index % window`: `None` = unresolved,
     /// `Some(None)` = skipped, `Some(Some(t))` = pending item.
     slots: Vec<Option<Option<T>>>,
@@ -515,10 +539,10 @@ impl<T, A, F: FnMut(&mut A, T)> OrderedMerger<T, A, F> {
     /// A merger over `acc` with the given in-flight `window` (clamped to
     /// at least 1; pass the worker count — any window yields identical
     /// results, it only bounds retention).
-    pub fn new(window: usize, acc: A, merge: F) -> OrderedMerger<T, A, F> {
-        let window = window.max(1) as u64;
-        let mut slots = Vec::with_capacity(window as usize);
-        slots.resize_with(window as usize, || None);
+    fn new(window: usize, acc: A, merge: F) -> OrderedMerger<T, A, F> {
+        let window = window.max(1);
+        let mut slots = Vec::with_capacity(window);
+        slots.resize_with(window, || None);
         OrderedMerger {
             inner: Mutex::new(MergeState {
                 head: 0,
@@ -533,22 +557,22 @@ impl<T, A, F: FnMut(&mut A, T)> OrderedMerger<T, A, F> {
 
     /// Submits the item for `index`, blocking while the index is more
     /// than `window` ahead of the merge head.
-    pub fn submit(&self, index: u64, item: T) {
+    fn submit(&self, index: usize, item: T) {
         self.place(index, Some(item));
     }
 
     /// Resolves `index` with no item (failed / fault-skipped chunk).
-    pub fn skip(&self, index: u64) {
+    fn skip(&self, index: usize) {
         self.place(index, None);
     }
 
-    fn place(&self, index: u64, item: Option<T>) {
+    fn place(&self, index: usize, item: Option<T>) {
         let mut st = lock_or_recover(&self.inner);
         while index >= st.head + st.window {
             st = wait_or_recover(&self.space, st);
         }
         debug_assert!(index >= st.head, "index {index} already merged");
-        let pos = (index % st.window) as usize;
+        let pos = index % st.window;
         debug_assert!(st.slots[pos].is_none(), "duplicate submit for {index}");
         st.slots[pos] = Some(item);
         let mut advanced = false;
@@ -560,7 +584,7 @@ impl<T, A, F: FnMut(&mut A, T)> OrderedMerger<T, A, F> {
                 acc,
                 merge,
             } = &mut *st;
-            let pos = (*head % *window) as usize;
+            let pos = *head % *window;
             match slots[pos].take() {
                 Some(Some(item)) => {
                     merge(acc, item);
@@ -583,7 +607,7 @@ impl<T, A, F: FnMut(&mut A, T)> OrderedMerger<T, A, F> {
     /// Consumes the merger and returns the accumulator. Unresolved slots
     /// past the head are discarded (the error paths return before using
     /// the accumulator).
-    pub fn finish(self) -> A {
+    fn finish(self) -> A {
         into_inner_or_recover(self.inner).acc
     }
 }
@@ -591,7 +615,6 @@ impl<T, A, F: FnMut(&mut A, T)> OrderedMerger<T, A, F> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
 
     #[test]
     fn worker_count_resolution() {
@@ -687,25 +710,147 @@ mod tests {
         assert_eq!(count.load(Ordering::Relaxed), 6);
     }
 
+    const WORKERS: [usize; 4] = [1, 2, 4, 8];
+
     #[test]
-    fn counter_queue_hands_out_each_index_once() {
-        let pool = Pool::new();
-        let queue = CounterQueue::new(100);
-        let hits: Vec<AtomicUsize> = (0..100).map(|_| AtomicUsize::new(0)).collect();
-        pool.run_queue(4, &queue, |_w, i| {
-            hits[i].fetch_add(1, Ordering::Relaxed);
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-        assert_eq!(queue.next(), None);
+    fn run_chunks_runs_each_chunk_once() {
+        for workers in WORKERS {
+            let hits: Vec<AtomicUsize> = (0..100).map(|_| AtomicUsize::new(0)).collect();
+            let scratches = AtomicUsize::new(0);
+            let Ok(()) = run_chunks(
+                workers,
+                hits.len(),
+                || scratches.fetch_add(1, Ordering::Relaxed),
+                |i, _| Ok::<_, std::convert::Infallible>(hits[i].fetch_add(1, Ordering::Relaxed)),
+                (),
+                |_, _| {},
+            );
+            assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
+            assert!(
+                scratches.load(Ordering::Relaxed) <= workers,
+                "one scratch per worker"
+            );
+        }
+    }
+
+    #[test]
+    fn run_chunks_merges_in_chunk_order() {
+        for workers in WORKERS {
+            // With a second worker, chunk 0 finishes only after chunk 1
+            // has: the merge must still take chunk 0 first.
+            let chunk1_done = std::sync::atomic::AtomicBool::new(false);
+            let merged = run_chunks(
+                workers,
+                200,
+                || (),
+                |i, _| {
+                    if i == 0 && workers > 1 {
+                        while !chunk1_done.load(Ordering::Acquire) {
+                            std::thread::yield_now();
+                        }
+                    }
+                    if i == 1 {
+                        chunk1_done.store(true, Ordering::Release);
+                    }
+                    Ok::<_, ()>(i)
+                },
+                Vec::new(),
+                |acc: &mut Vec<usize>, i| acc.push(i),
+            );
+            assert_eq!(
+                merged,
+                Ok((0..200).collect::<Vec<_>>()),
+                "{workers} workers"
+            );
+        }
+    }
+
+    #[test]
+    fn run_chunks_reports_the_earliest_failing_chunk() {
+        let n = 64;
+        for failing in [vec![0, 17, 63], vec![17, 40], vec![63], vec![40, 63]] {
+            for workers in WORKERS {
+                let ran = AtomicUsize::new(0);
+                let result = run_chunks(
+                    workers,
+                    n,
+                    || (),
+                    |i, _| {
+                        ran.fetch_add(1, Ordering::Relaxed);
+                        if failing.contains(&i) {
+                            Err(i)
+                        } else {
+                            Ok(i)
+                        }
+                    },
+                    0usize,
+                    |acc, i| *acc += i,
+                );
+                assert_eq!(result, Err(failing[0]), "{failing:?} at {workers} workers");
+                // Every chunk up to the earliest failure ran.
+                assert!(ran.load(Ordering::Relaxed) > failing[0]);
+            }
+        }
+    }
+
+    #[test]
+    fn run_chunks_reraises_a_panicking_chunk_and_the_pool_survives() {
+        for workers in WORKERS {
+            let result = catch_unwind(AssertUnwindSafe(|| {
+                run_chunks(
+                    workers,
+                    32,
+                    || (),
+                    |i, _| {
+                        if i == 9 {
+                            panic!("chunk {i}");
+                        }
+                        Ok::<_, ()>(i)
+                    },
+                    0usize,
+                    |acc, i| *acc += i,
+                )
+            }));
+            let payload = result.expect_err("the panic reaches the caller");
+            assert_eq!(
+                payload.downcast_ref::<String>().map(String::as_str),
+                Some("chunk 9")
+            );
+            // An earlier error wins over a later panic, as it would in a
+            // sequential loop.
+            let result = run_chunks(
+                workers,
+                32,
+                || (),
+                |i, _| match i {
+                    3 => Err(i),
+                    9 => panic!("chunk {i}"),
+                    _ => Ok(i),
+                },
+                0usize,
+                |acc, i| *acc += i,
+            );
+            assert_eq!(result, Err(3), "{workers} workers");
+            // The pool keeps working after the panic.
+            let sum = run_chunks(
+                workers,
+                32,
+                || (),
+                |i, _| Ok::<_, ()>(i),
+                0usize,
+                |a, i| *a += i,
+            );
+            assert_eq!(sum, Ok((0..32).sum()), "{workers} workers");
+        }
     }
 
     #[test]
     fn ordered_merger_merges_in_index_order() {
         // Submit out of order from several threads; the merge transcript
         // must still be 0, 1, 2, ... regardless of arrival order.
-        let n = 64u64;
-        let merger = OrderedMerger::new(4, Vec::new(), |acc: &mut Vec<u64>, x| acc.push(x));
-        let next = AtomicU64::new(0);
+        let n = 64;
+        let merger = OrderedMerger::new(4, Vec::new(), |acc: &mut Vec<usize>, x| acc.push(x));
+        let next = AtomicUsize::new(0);
         Pool::new().run(4, |_| loop {
             let i = next.fetch_add(1, Ordering::Relaxed);
             if i >= n {
@@ -718,7 +863,7 @@ mod tests {
             }
         });
         let out = merger.finish();
-        let expect: Vec<u64> = (0..n).filter(|i| i % 7 != 3).collect();
+        let expect: Vec<usize> = (0..n).filter(|i| i % 7 != 3).collect();
         assert_eq!(out, expect);
     }
 
@@ -726,7 +871,7 @@ mod tests {
     fn ordered_merger_window_bounds_in_flight_items() {
         // With window 1 every submit is immediately merged, so the
         // high-index submitter must block until the head catches up.
-        let merger = OrderedMerger::new(1, Vec::new(), |acc: &mut Vec<u64>, x| acc.push(x));
+        let merger = OrderedMerger::new(1, Vec::new(), |acc: &mut Vec<usize>, x| acc.push(x));
         Pool::new().run(2, |w| {
             if w == 0 {
                 std::thread::sleep(std::time::Duration::from_millis(5));
