@@ -65,7 +65,7 @@ use super::execute::{
 };
 use super::plan::CutPlan;
 use super::supervise::Admission;
-use super::{fault_error, ConfigError, SuperSimConfig, SuperSimError};
+use super::{check_error_budget, fault_error, SuperSimConfig, SuperSimError};
 use cutkit::{
     correct_tensor, evaluate_planned_chunk, merge_planned_chunks, planned_num_chunks, EvalChunk,
     EvalError, EvalOptions, FragmentTensor, MlftError, MlftOptions, TensorOptions,
@@ -318,8 +318,7 @@ pub(crate) fn execute_jobs(
         // An invalid budget would only fail at recombination, after every
         // variant ran; reject it up front, permanently.
         let budget = resolved_error_budget(config, job.params);
-        if !budget.is_finite() || budget < 0.0 {
-            let invalid = ConfigError::InvalidErrorBudget(budget);
+        if let Err(invalid) = check_error_budget(budget) {
             results[i] = Some(Err(SuperSimError::Config(invalid)));
             continue;
         }

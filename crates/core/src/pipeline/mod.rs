@@ -234,6 +234,16 @@ impl SuperSimConfig {
     }
 }
 
+/// The one rule for a valid error budget: a finite, non-negative L1
+/// allowance; [`ConfigError::InvalidErrorBudget`] otherwise.
+pub(crate) fn check_error_budget(budget: f64) -> Result<(), ConfigError> {
+    if budget.is_finite() && budget >= 0.0 {
+        Ok(())
+    } else {
+        Err(ConfigError::InvalidErrorBudget(budget))
+    }
+}
+
 /// Validation errors from [`SuperSimConfigBuilder::build`].
 #[derive(Clone, Debug, PartialEq)]
 pub enum ConfigError {
@@ -413,9 +423,7 @@ impl SuperSimConfigBuilder {
     /// when a nonzero worker count was set without `parallel`.
     pub fn build(self) -> Result<SuperSimConfig, ConfigError> {
         let config = self.config;
-        if !config.error_budget.is_finite() || config.error_budget < 0.0 {
-            return Err(ConfigError::InvalidErrorBudget(config.error_budget));
-        }
+        check_error_budget(config.error_budget)?;
         if config.threads > 0 && !config.parallel {
             return Err(ConfigError::ThreadsWithoutParallel(config.threads));
         }
